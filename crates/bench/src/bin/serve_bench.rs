@@ -22,15 +22,14 @@
 //!   the same `sca_telemetry::Histogram` the server exposes over the
 //!   `metrics` command.
 //! * `... -- --smoke` — tiny workload, exactness assertions only (plus a
-//!   2-shard `classify-batch` sanity pass), no timing floor; the CI
-//!   verify step runs this.
+//!   pipelined `classify-batch` pass), no timing floor; the CI verify
+//!   step runs this.
 //!
-//! The full run additionally sweeps shard count x batch size (1/2/4
-//! shards x batch 1/8/32) against two server replicas behind a tiny
-//! front door that round-robins connections. Byte-exactness against the
-//! offline pipeline is asserted per shard count before any timing;
-//! every swept configuration must finish with zero sheds and zero
-//! panics, and batching must not lose throughput at any shard count.
+//! The full run additionally sweeps batch size (1/8/32) against two
+//! server replicas behind a tiny front door that round-robins
+//! connections. Byte-exactness against the offline pipeline is asserted
+//! before any timing; the sweep must finish with zero sheds and zero
+//! panics, and batching must not lose throughput.
 //! Cells are scored on the process CPU clock (utime+stime summed over
 //! interleaved rounds, warmup discarded; wall clock where `/proc` is
 //! unavailable) — everything in the sweep runs inside the bench
@@ -50,7 +49,7 @@ use sca_attacks::dataset::mutated_family;
 use sca_attacks::mutate::MutationConfig;
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::AttackFamily;
-use sca_serve::{spawn, BatchProgram, Client, ServeConfig, ServerHandle};
+use sca_serve::{spawn, BatchProgram, Client, Request, ServeConfig, ServerHandle};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
@@ -320,36 +319,42 @@ fn main() {
     );
 
     if smoke {
-        // Scale-out sanity: a 2-shard server answers a classify-batch
+        // Batching sanity: pipelined classify-batch frames come back
         // with per-program detections byte-identical to offline.
-        let mut cfg = ServeConfig::new(&repo_path);
-        cfg.workers = 2;
-        cfg.shards = 2;
-        let sharded = spawn(cfg).expect("spawn sharded server");
-        let payload: Vec<BatchProgram> = targets
-            .iter()
-            .map(|t| BatchProgram {
-                name: t.name.clone(),
-                program: t.source.clone(),
-                victim: VICTIM.into(),
-                threshold: None,
-            })
-            .collect();
-        let mut client = Client::connect(sharded.addr()).expect("connect");
-        let results = client.submit_batch(&payload).expect("batch");
-        for (target, result) in targets.iter().zip(&results) {
-            let wire = result.get("detection").expect("detection").to_string();
-            let offline = single_shot(&repo_path, &target.name, &target.source);
-            assert_eq!(wire, offline, "{}: sharded batch diverges", target.name);
+        let frame = Request::ClassifyBatch {
+            programs: targets
+                .iter()
+                .map(|t| BatchProgram {
+                    name: t.name.clone(),
+                    program: t.source.clone(),
+                    victim: VICTIM.into(),
+                    threshold: None,
+                })
+                .collect(),
+            deadline_ms: None,
+            debug_sleep_ms: 0,
         }
-        let stats = sharded.stats();
+        .to_json();
+        let mut client = Client::connect(addr).expect("connect");
+        let responses = client.pipeline(&[frame.clone(), frame]).expect("pipeline");
+        for response in &responses {
+            let Some(Json::Arr(results)) = response.get("results") else {
+                panic!("batch failed: {response}");
+            };
+            assert_eq!(results.len(), targets.len(), "batch lost programs");
+            for (target, result) in targets.iter().zip(results) {
+                let wire = result.get("detection").expect("detection").to_string();
+                let offline = single_shot(&repo_path, &target.name, &target.source);
+                assert_eq!(wire, offline, "{}: batched detection diverges", target.name);
+            }
+        }
+        let stats = handle.stats();
         assert_eq!(stats.shed, 0, "smoke batch shed: {stats:?}");
         assert_eq!(stats.panics, 0, "smoke batch panicked: {stats:?}");
-        sharded.shutdown();
-        sharded.join();
         eprintln!(
-            "smoke: 2-shard classify-batch byte-identical to offline ({} programs)",
-            results.len()
+            "smoke: pipelined classify-batch byte-identical to offline ({} frames x {} programs)",
+            responses.len(),
+            targets.len()
         );
 
         handle.shutdown();
@@ -463,8 +468,8 @@ fn main() {
     handle.join();
 
     // ------------------------------------------------------------------
-    // Scale-out sweep: shard count x batch size, two replicas behind a
-    // round-robin front door.
+    // Batching sweep: batch size, two replicas behind a round-robin
+    // front door.
     // ------------------------------------------------------------------
     let sweep_repo = dir.join("sweep.repo");
     eprintln!("modeling sweep repository ...");
@@ -475,114 +480,110 @@ fn main() {
     let (sweep_clients, per_client) = (4usize, 192usize);
     let measured_rounds = 8usize;
     let mut sweep_rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let replicas: Vec<ServerHandle> = (0..2)
-            .map(|_| {
-                let mut cfg = ServeConfig::new(&sweep_repo);
-                // Two blocking clients land on each replica, so two
-                // workers saturate the offered load; extra threads only
-                // add scheduler noise to the timed cells.
-                cfg.workers = 2;
-                cfg.shards = shards;
-                spawn(cfg).expect("spawn sweep replica")
-            })
-            .collect();
-        let (door, stop, pump) = front_door(replicas.iter().map(ServerHandle::addr).collect());
+    let replicas: Vec<ServerHandle> = (0..2)
+        .map(|_| {
+            let mut cfg = ServeConfig::new(&sweep_repo);
+            // Two blocking clients land on each replica, so two
+            // workers saturate the offered load; extra threads only
+            // add scheduler noise to the timed cells.
+            cfg.workers = 2;
+            spawn(cfg).expect("spawn sweep replica")
+        })
+        .collect();
+    let (door, stop, pump) = front_door(replicas.iter().map(ServerHandle::addr).collect());
 
-        // Exactness before any timing: every target through the door,
-        // once per replica (consecutive connections round-robin across
-        // both), must be byte-identical to the offline pipeline. This
-        // also warms both replicas' model caches so the timed cells
-        // compare steady-state service, not first-touch model builds.
-        for _replica in 0..2 {
-            let mut client = Client::connect(door).expect("connect via front door");
-            for target in targets.iter() {
-                let resp = client
-                    .classify(&target.name, &target.source, VICTIM)
-                    .expect("classify");
-                let wire = resp.get("detection").expect("detection").to_string();
-                let offline = single_shot(&sweep_repo, &target.name, &target.source);
-                assert_eq!(
-                    wire, offline,
-                    "{}: shards={shards}: wire and offline diverge",
-                    target.name
-                );
-            }
+    // Exactness before any timing: every target through the door,
+    // once per replica (consecutive connections round-robin across
+    // both), must be byte-identical to the offline pipeline. This
+    // also warms both replicas' model caches so the timed cells
+    // compare steady-state service, not first-touch model builds.
+    for _replica in 0..2 {
+        let mut client = Client::connect(door).expect("connect via front door");
+        for target in targets.iter() {
+            let resp = client
+                .classify(&target.name, &target.source, VICTIM)
+                .expect("classify");
+            let wire = resp.get("detection").expect("detection").to_string();
+            let offline = single_shot(&sweep_repo, &target.name, &target.source);
+            assert_eq!(
+                wire, offline,
+                "{}: sweep wire and offline diverge",
+                target.name
+            );
         }
-        eprintln!(
-            "sweep: shards={shards} byte-exact over {} targets",
-            targets.len()
-        );
+    }
+    eprintln!("sweep: byte-exact over {} targets", targets.len());
 
-        // N interleaved rounds per batch size, scored on the process
-        // CPU clock: the structural gain from batching (fewer round
-        // trips, so fewer syscalls and relay context switches per
-        // program) is monotone, interleaving the rounds spreads any
-        // drift evenly across the batch sizes, and — because the whole
-        // sweep (clients, front door, both replicas) runs inside this
-        // process — total utime+stime prices a cell exactly while
-        // ignoring whatever else a shared box is running. Wall clock is
-        // recorded alongside and used as the scoring fallback where
-        // /proc is unavailable. The first round is a discarded warmup
-        // so cold caches never bias a cell.
-        const BATCHES: [usize; 3] = [1, 8, 32];
-        let mut wall_total = [0u64; BATCHES.len()];
-        let mut cpu_total = [Some(0u64); BATCHES.len()];
-        let mut programs = 0usize;
-        for round in 0..=measured_rounds {
-            for (slot, &batch) in BATCHES.iter().enumerate() {
-                let (wall, cpu, n) =
-                    run_sweep_cell(door, &targets, sweep_clients, per_client, batch);
-                if round > 0 {
-                    wall_total[slot] += wall;
-                    cpu_total[slot] = cpu_total[slot].zip(cpu).map(|(a, b)| a + b);
-                }
-                programs = n;
-            }
-        }
-        let shed = replica_sum(&replicas, |s| s.shed);
-        let panics = replica_sum(&replicas, |s| s.panics);
-        assert_eq!(shed, 0, "sweep shards={shards} shed requests");
-        assert_eq!(panics, 0, "sweep shards={shards} panicked");
-        let total_programs = programs * measured_rounds;
-        let mut prev_rps = 0.0f64;
+    // N interleaved rounds per batch size, scored on the process
+    // CPU clock: the structural gain from batching (fewer round
+    // trips, so fewer syscalls and relay context switches per
+    // program) is monotone, interleaving the rounds spreads any
+    // drift evenly across the batch sizes, and — because the whole
+    // sweep (clients, front door, both replicas) runs inside this
+    // process — total utime+stime prices a cell exactly while
+    // ignoring whatever else a shared box is running. Wall clock is
+    // recorded alongside and used as the scoring fallback where
+    // /proc is unavailable. The first round is a discarded warmup
+    // so cold caches never bias a cell.
+    const BATCHES: [usize; 3] = [1, 8, 32];
+    let mut wall_total = [0u64; BATCHES.len()];
+    let mut cpu_total = [Some(0u64); BATCHES.len()];
+    let mut programs = 0usize;
+    for round in 0..=measured_rounds {
         for (slot, &batch) in BATCHES.iter().enumerate() {
-            let scored_ns = cpu_total[slot].unwrap_or(wall_total[slot]);
-            let rps = total_programs as f64 / (scored_ns as f64 / 1e9);
-            eprintln!(
-                "sweep: shards={shards} batch={batch:<2} {rps:>10.2} programs/s ({} over {measured_rounds} rounds)",
-                if cpu_total[slot].is_some() { "cpu" } else { "wall" },
-            );
-            assert!(
-                rps >= prev_rps,
-                "batching lost throughput at shards={shards}: batch={batch} ran {rps:.2}/s after {prev_rps:.2}/s"
-            );
-            prev_rps = rps;
-            sweep_rows.push(Json::Obj(vec![
-                ("shards".into(), Json::Num(shards as f64)),
-                ("batch".into(), Json::Num(batch as f64)),
-                ("programs".into(), Json::Num(total_programs as f64)),
-                ("wall_ns".into(), Json::Num(wall_total[slot] as f64)),
-                (
-                    "cpu_ns".into(),
-                    cpu_total[slot].map_or(Json::Null, |c| Json::Num(c as f64)),
-                ),
-                (
-                    "programs_per_sec".into(),
-                    Json::Num((rps * 100.0).round() / 100.0),
-                ),
-                ("shed".into(), Json::Num(shed as f64)),
-                ("panics".into(), Json::Num(panics as f64)),
-            ]));
+            let (wall, cpu, n) = run_sweep_cell(door, &targets, sweep_clients, per_client, batch);
+            if round > 0 {
+                wall_total[slot] += wall;
+                cpu_total[slot] = cpu_total[slot].zip(cpu).map(|(a, b)| a + b);
+            }
+            programs = n;
         }
+    }
+    let shed = replica_sum(&replicas, |s| s.shed);
+    let panics = replica_sum(&replicas, |s| s.panics);
+    assert_eq!(shed, 0, "sweep shed requests");
+    assert_eq!(panics, 0, "sweep panicked");
+    let total_programs = programs * measured_rounds;
+    let mut prev_rps = 0.0f64;
+    for (slot, &batch) in BATCHES.iter().enumerate() {
+        let scored_ns = cpu_total[slot].unwrap_or(wall_total[slot]);
+        let rps = total_programs as f64 / (scored_ns as f64 / 1e9);
+        eprintln!(
+            "sweep: batch={batch:<2} {rps:>10.2} programs/s ({} over {measured_rounds} rounds)",
+            if cpu_total[slot].is_some() {
+                "cpu"
+            } else {
+                "wall"
+            },
+        );
+        assert!(
+            rps >= prev_rps,
+            "batching lost throughput: batch={batch} ran {rps:.2}/s after {prev_rps:.2}/s"
+        );
+        prev_rps = rps;
+        sweep_rows.push(Json::Obj(vec![
+            ("batch".into(), Json::Num(batch as f64)),
+            ("programs".into(), Json::Num(total_programs as f64)),
+            ("wall_ns".into(), Json::Num(wall_total[slot] as f64)),
+            (
+                "cpu_ns".into(),
+                cpu_total[slot].map_or(Json::Null, |c| Json::Num(c as f64)),
+            ),
+            (
+                "programs_per_sec".into(),
+                Json::Num((rps * 100.0).round() / 100.0),
+            ),
+            ("shed".into(), Json::Num(shed as f64)),
+            ("panics".into(), Json::Num(panics as f64)),
+        ]));
+    }
 
-        stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(door); // unblock the acceptor
-        pump.join().expect("front door");
-        for replica in replicas {
-            replica.shutdown();
-            replica.join();
-        }
+    stop.store(true, Ordering::Relaxed);
+    let _ = TcpStream::connect(door); // unblock the acceptor
+    pump.join().expect("front door");
+    for replica in replicas {
+        replica.shutdown();
+        replica.join();
     }
 
     println!(

@@ -20,13 +20,21 @@
 //! the first sort key above the cutoff. **Phase 2** renders the per-entry
 //! scores as a pure function of the target, the repository, and the best
 //! distance — never of the visit order — which is what makes indexed,
-//! linear, and parallel scans byte-identical.
+//! linear, seeded, and parallel scans byte-identical.
+//!
+//! Every classify entry point is a thin call of one scan function
+//! (phases 0 and 1, parameterised by a cutoff seed, a deadline, and a
+//! thread count) and one render step (phase 2). The scan state is split
+//! in two: the repository, the engine that interned it, and its prepared
+//! models are frozen behind an `Arc`; each scan checks a mutable scratch
+//! engine out of a small free list for its duration, so concurrent
+//! callers share one detector without serializing on a lock.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use sca_attacks::AttackFamily;
@@ -249,58 +257,49 @@ pub fn detection_json(program: &str, detection: &Detection) -> Json {
     ])
 }
 
-/// The prepared scan state a detector keeps behind a mutex: the engine
-/// (intern pool + `D_IS` cache) and the repository's prepared models.
-#[derive(Debug, Clone)]
-struct ScanState {
+/// The immutable half of a detector's scan state, shared by every clone:
+/// the repository, the engine that interned it, and the repository's
+/// prepared models. The engine here is never scanned with — it is the
+/// template every scratch engine is cloned from, so the ids inside
+/// `prepared` are valid in every scratch.
+#[derive(Debug)]
+struct Frozen {
+    repo: ModelRepository,
     engine: SimilarityEngine,
     prepared: Vec<PreparedModel>,
 }
 
-impl ScanState {
-    fn build(repo: &ModelRepository) -> ScanState {
-        let mut engine = SimilarityEngine::new();
-        let prepared = repo
-            .entries()
-            .iter()
-            .map(|e| engine.prepare(&e.model))
-            .collect();
-        ScanState { engine, prepared }
-    }
-}
-
-/// Pool-size limit after which a detector's persistent engine is rebuilt
-/// from the repository, bounding memory on long-lived detectors that
-/// classify an unbounded stream of targets.
+/// Pool-size limit above which a scratch engine is dropped instead of
+/// returned to its detector's free list, bounding memory on long-lived
+/// detectors that classify an unbounded stream of targets.
 const POOL_LIMIT: usize = 1 << 16;
-
-/// The result of scanning one target against the prepared repository.
-struct ScanResult {
-    scores: Vec<EntryScore>,
-    best: Option<usize>,
-}
-
-/// A parallel-scan result slot: the entry's exact distance, when its
-/// comparison ran to completion.
-type EntrySlot = Mutex<Option<f64>>;
 
 /// The SCAGuard detector: a model repository plus a similarity threshold,
 /// optionally accelerated by a [`RepoIndex`] (see [`Detector::set_index`]).
+///
+/// A detector is `Sync` and scans concurrently without holding any lock
+/// across a scan: the repository and its prepared models are immutable
+/// (and shared by every clone, so `clone` is cheap), and each scan checks
+/// a scratch engine out of the detector's free list for its duration.
+/// The free list's lock covers only the pop and the push; a scratch keeps
+/// its warm `D_IS` cache from scan to scan.
 #[derive(Debug)]
 pub struct Detector {
-    repo: ModelRepository,
     threshold: f64,
-    index: Option<RepoIndex>,
-    scan: Mutex<ScanState>,
+    index: Option<Arc<RepoIndex>>,
+    frozen: Arc<Frozen>,
+    scratch: Mutex<Vec<SimilarityEngine>>,
 }
 
 impl Clone for Detector {
+    /// Shares the immutable repository state; the clone starts with an
+    /// empty scratch free list of its own.
     fn clone(&self) -> Detector {
         Detector {
-            repo: self.repo.clone(),
             threshold: self.threshold,
             index: self.index.clone(),
-            scan: Mutex::new(self.lock_scan().clone()),
+            frozen: Arc::clone(&self.frozen),
+            scratch: Mutex::new(Vec::new()),
         }
     }
 }
@@ -331,6 +330,29 @@ impl fmt::Display for InvalidThreshold {
 
 impl std::error::Error for InvalidThreshold {}
 
+/// A scratch engine checked out of a detector's free list; dropping it
+/// returns the engine, unless its intern pool has outgrown
+/// [`POOL_LIMIT`].
+struct Scratch<'d> {
+    home: &'d Mutex<Vec<SimilarityEngine>>,
+    engine: SimilarityEngine,
+}
+
+impl Drop for Scratch<'_> {
+    fn drop(&mut self) {
+        if self.engine.pool_len() <= POOL_LIMIT {
+            let engine = std::mem::take(&mut self.engine);
+            lock(self.home).push(engine);
+        }
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Engines are pure bookkeeping; a panicked scan leaves them
+    // consistent, so poisoning is safe to ignore.
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl Detector {
     /// The default similarity threshold.
     ///
@@ -357,18 +379,27 @@ impl Detector {
         if !(0.0..=1.0).contains(&threshold) {
             return Err(InvalidThreshold(threshold));
         }
-        let scan = Mutex::new(ScanState::build(&repo));
+        let mut engine = SimilarityEngine::new();
+        let prepared = repo
+            .entries()
+            .iter()
+            .map(|e| engine.prepare(&e.model))
+            .collect();
         Ok(Detector {
-            repo,
             threshold,
             index: None,
-            scan,
+            frozen: Arc::new(Frozen {
+                repo,
+                engine,
+                prepared,
+            }),
+            scratch: Mutex::new(Vec::new()),
         })
     }
 
     /// The repository backing this detector.
     pub fn repository(&self) -> &ModelRepository {
-        &self.repo
+        &self.frozen.repo
     }
 
     /// The detection threshold.
@@ -387,47 +418,32 @@ impl Detector {
     /// detector's repository (stale sidecar, foreign file); the detector
     /// keeps its previous index in that case.
     pub fn set_index(&mut self, index: RepoIndex) -> Result<(), IndexMismatch> {
-        if !index.matches(&self.repo) {
+        if !index.matches(&self.frozen.repo) {
             return Err(IndexMismatch);
         }
-        self.index = Some(index);
+        self.index = Some(Arc::new(index));
         Ok(())
     }
 
     /// The attached index, if any.
     pub fn index(&self) -> Option<&RepoIndex> {
-        self.index.as_ref()
+        self.index.as_deref()
     }
 
     /// Build a fresh [`RepoIndex`] for this detector's repository (with
     /// default [`IndexConfig`]); always valid for [`Detector::set_index`].
     pub fn build_index(&self) -> RepoIndex {
-        RepoIndex::build(&self.repo, &IndexConfig::default())
-    }
-
-    fn lock_scan(&self) -> std::sync::MutexGuard<'_, ScanState> {
-        // The engine is pure bookkeeping; a panicked scan leaves it
-        // consistent, so poisoning is safe to ignore.
-        self.scan.lock().unwrap_or_else(|e| e.into_inner())
+        RepoIndex::build(&self.frozen.repo, &IndexConfig::default())
     }
 
     /// Classify a prebuilt target model with the pruned repo scan.
     ///
     /// The best entry, score, and verdict are bitwise identical to a
     /// naive full scan; non-best entries may carry upper bounds (see
-    /// [`EntryScore::exact`]). Use [`Detector::classify_model_full`]
-    /// when every per-entry score must be exact.
+    /// [`EntryScore::exact`]).
     pub fn classify_model(&self, target: &CstBbs) -> Detection {
-        let mut sp = sca_telemetry::span("detect.scan");
-        let mut state = self.lock_scan();
-        let result = scan_target(&mut state, &self.repo, self.index.as_ref(), target, None)
-            .expect("no deadline was given");
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        let detection = self.detection(result);
-        self.annotate(&mut sp, &detection);
-        detection
+        self.detect(target, None, None, 1)
+            .expect("no deadline was given")
     }
 
     /// [`Detector::classify_model`] under a wall-clock deadline,
@@ -446,60 +462,15 @@ impl Detector {
         target: &CstBbs,
         deadline: Instant,
     ) -> Result<Detection, DeadlineExceeded> {
-        let mut sp = sca_telemetry::span("detect.scan");
-        let mut state = self.lock_scan();
-        let result = match scan_target(
-            &mut state,
-            &self.repo,
-            self.index.as_ref(),
-            target,
-            Some(deadline),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                sp.attr("deadline_exceeded", true);
-                return Err(e);
-            }
-        };
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        let detection = self.detection(result);
-        self.annotate(&mut sp, &detection);
-        Ok(detection)
+        self.detect(target, None, Some(deadline), 1)
     }
 
-    /// Phases 0 and 1 of the pruned scan only: find the exact best entry
-    /// (index and DTW distance) without rendering per-entry scores.
-    ///
-    /// This is the scatter half of a sharded scan (see [`crate::shard`]):
-    /// each shard runs `scan_best` over its slice of the repository, the
-    /// caller merges the per-shard winners with the scan's own tie-break
-    /// rule (minimum distance, **later** index on ties), then renders
-    /// every slice against the merged best with
-    /// [`Detector::render_slice`]. The pair composes to detections
-    /// byte-identical to [`Detector::classify_model`]: a tie candidate's
-    /// DTW always runs to completion (the early-abandon row minimum is a
-    /// lower bound on the final distance, so a distance equal to the
-    /// cutoff can never abandon), so every shard reports its true best as
-    /// an exact distance no matter how the repository was decomposed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
-    pub fn scan_best(
-        &self,
-        target: &CstBbs,
-        deadline: Option<Instant>,
-    ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-        self.scan_best_seeded(target, None, deadline)
-    }
-
-    /// [`Detector::scan_best`] with phase 1's best-so-far cutoff
-    /// pre-seeded: `seed` is an entry index plus that entry's **exact**
-    /// DTW distance to `target`, known before the scan starts (a
-    /// streaming session carries the previous increment's winner forward
-    /// via [`crate::engine::PrefixDtw`]).
+    /// Phases 0 and 1 of the pruned scan only: the exact best entry
+    /// (index and DTW distance) without rendering per-entry scores, with
+    /// phase 1's best-so-far cutoff pre-seeded: `seed` is an entry index
+    /// plus that entry's **exact** DTW distance to `target`, known before
+    /// the scan starts (a streaming session carries the previous
+    /// increment's winner forward via [`crate::engine::PrefixDtw`]).
     ///
     /// The result is bitwise identical to the unseeded scan. Every prune
     /// requires a lower bound strictly above the cutoff, and the cutoff
@@ -520,82 +491,9 @@ impl Detector {
         seed: Option<(usize, f64)>,
         deadline: Option<Instant>,
     ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-        let mut state = self.lock_scan();
-        let p1 = scan_phase1(
-            &mut state,
-            &self.repo,
-            self.index.as_ref(),
-            target,
-            seed,
-            deadline,
-        )?;
-        flush_scan_counts(&p1.counts);
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        Ok(p1.best)
-    }
-
-    /// Phase 2 of a pruned scan against an externally supplied best
-    /// distance: render this repository's per-entry scores exactly as the
-    /// unsharded scan's phase 2 would, bounding every entry by `best_d`
-    /// and reporting entry `exact_idx` (when given — the shard that owns
-    /// the merged winner) with its exact score. The render is a pure
-    /// function of the target, the repository, and `best_d` — the lower
-    /// bounds it consults are deterministic functions of (target, entry)
-    /// — so slice renders concatenated in repository order are
-    /// byte-identical to the unsharded scan's score list.
-    pub fn render_slice(
-        &self,
-        target: &CstBbs,
-        best_d: f64,
-        exact_idx: Option<usize>,
-    ) -> Vec<EntryScore> {
-        debug_assert!(exact_idx.is_none_or(|i| i < self.repo.len()));
-        let mut state = self.lock_scan();
-        let mut counts = ScanCounts::default();
-        let scores = {
-            let ScanState { engine, prepared } = &mut *state;
-            let prepared_target = engine.prepare(target);
-            let env: Vec<f64> = prepared
-                .iter()
-                .map(|pm| lb_interval(&prepared_target, pm))
-                .collect();
-            counts.lb_evals += prepared.len() as u64;
-            let mut lb1c = vec![f64::NAN; prepared.len()];
-            let mut lb2c = vec![f64::NAN; prepared.len()];
-            render_scores_against(
-                &self.repo,
-                &prepared_target,
-                prepared,
-                &env,
-                &mut lb1c,
-                &mut lb2c,
-                best_d,
-                exact_idx,
-                &mut counts,
-            )
-        };
-        flush_scan_counts(&counts);
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        scores
-    }
-
-    /// Classify a prebuilt target model with an exhaustive scan: every
-    /// entry's score is exact (still served by the interned engine).
-    /// Never consults the index — there is nothing to skip.
-    pub fn classify_model_full(&self, target: &CstBbs) -> Detection {
-        let mut sp = sca_telemetry::span("detect.scan");
-        let mut state = self.lock_scan();
-        let result = scan_full(&mut state, &self.repo, target);
-        if state.engine.pool_len() > POOL_LIMIT {
-            *state = ScanState::build(&self.repo);
-        }
-        let detection = self.detection(result);
-        self.annotate(&mut sp, &detection);
-        detection
+        let scan = self.scan(target, seed, deadline, 1)?;
+        flush_scan_counts(&scan.counts);
+        Ok(scan.best)
     }
 
     /// Classify a prebuilt target model, scanning the repository with
@@ -606,159 +504,39 @@ impl Detector {
     /// rendered serially from the merged best distance, so the output is
     /// byte-identical to the serial scan's.
     pub fn classify_model_jobs(&self, target: &CstBbs, jobs: usize) -> Detection {
-        let jobs = jobs.clamp(1, self.repo.len().max(1));
-        if jobs <= 1 {
-            return self.classify_model(target);
-        }
-        let mut seed = self.lock_scan().clone();
-        let mut counts = ScanCounts::default();
-        let p0 = {
-            let ScanState { engine, prepared } = &mut seed;
-            phase0(engine, prepared, self.index.as_ref(), target, &mut counts)
-        };
-        let n = self.repo.len();
-        let order = sorted_order(p0.keys.as_deref(), n);
-        let next = AtomicUsize::new(0);
-        // Best distance so far, as bits: for non-negative IEEE floats the
-        // bit pattern orders exactly like the value, so `fetch_min` on
-        // bits is `fetch_min` on distances.
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let slots: Vec<EntrySlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let shared_counts: Mutex<ScanCounts> = Mutex::new(ScanCounts::default());
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| {
-                    // The seed's pool already interned the target, so the
-                    // shared prepared target is valid in every clone.
-                    let mut state = seed.clone();
-                    let mut local = ScanCounts::default();
-                    loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= n {
-                            break;
-                        }
-                        let i = order[pos];
-                        let cutoff = f64::from_bits(best_bits.load(Ordering::Relaxed));
-                        if let Some(keys) = &p0.keys {
-                            // The shared best only ever decreases, so a key
-                            // above the cutoff now stays above it forever:
-                            // skipping here is admissible even though other
-                            // workers are still lowering the best.
-                            if keys[i] > cutoff {
-                                local.entries_skipped += 1;
-                                state.engine.note_lb_skip(&p0.target, &state.prepared[i]);
-                                continue;
-                            }
-                        }
-                        let (mut lb1, mut lb2) = (f64::NAN, f64::NAN);
-                        let distance = probe_entry(
-                            &mut state.engine,
-                            &p0.target,
-                            &state.prepared[i],
-                            &self.repo.entries()[i],
-                            p0.query.as_ref(),
-                            i,
-                            p0.env[i],
-                            cutoff,
-                            None,
-                            &mut lb1,
-                            &mut lb2,
-                            &mut local,
-                        )
-                        .expect("no deadline was given");
-                        if let Some(d) = distance {
-                            best_bits.fetch_min(d.to_bits(), Ordering::Relaxed);
-                            *slot_lock(&slots[i]) = Some(d);
-                        }
-                    }
-                    slot_lock(&shared_counts).absorb(&local);
-                });
-            }
-        });
-        // Deterministic merge: minimum distance, later entry on ties —
-        // identical to the serial scan's rule, independent of which
-        // worker got there first.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
-            if let Some(d) = slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
-                    best = Some((i, d));
-                }
-            }
-        }
-        counts.absorb(&slot_lock(&shared_counts));
-        let mut lb1c = vec![f64::NAN; n];
-        let mut lb2c = vec![f64::NAN; n];
-        let scores = render_scores(
-            &self.repo,
-            &p0.target,
-            &seed.prepared,
-            &p0.env,
-            &mut lb1c,
-            &mut lb2c,
-            best,
-            &mut counts,
-        );
-        flush_scan_counts(&counts);
-        self.detection(ScanResult {
-            scores,
-            best: best.map(|(i, _)| i),
-        })
+        self.detect(target, None, None, jobs)
+            .expect("no deadline was given")
     }
 
     /// Classify a batch of prebuilt target models over a std-only worker
-    /// pool (`jobs <= 1` degrades to a serial loop). Each worker owns a
-    /// clone of the prepared scan state, so the `D_IS` cache warms up
-    /// across that worker's share of the batch with no lock contention.
-    /// Results are in `targets` order and identical to serial
-    /// [`Detector::classify_model`] calls.
+    /// pool (`jobs <= 1` degrades to a serial loop). Each scan checks its
+    /// own scratch engine out of the free list, so workers never contend
+    /// beyond the list's pop and push. Results are in `targets` order and
+    /// identical to serial [`Detector::classify_model`] calls.
     pub fn classify_batch(&self, targets: &[CstBbs], jobs: usize) -> Vec<Detection> {
         let jobs = jobs.clamp(1, targets.len().max(1));
         if jobs <= 1 {
             return targets.iter().map(|t| self.classify_model(t)).collect();
         }
-        let seed = self.lock_scan().clone();
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Detection>>> =
-            targets.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| {
-                    let mut state = seed.clone();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= targets.len() {
-                            break;
+        let mut out: Vec<(usize, Detection)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..jobs)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(target) = targets.get(i) else { break };
+                            mine.push((i, self.classify_model(target)));
                         }
-                        let result = scan_target(
-                            &mut state,
-                            &self.repo,
-                            self.index.as_ref(),
-                            &targets[i],
-                            None,
-                        )
-                        .expect("no deadline was given");
-                        *slot_lock(&slots[i]) = Some(self.detection(result));
-                    }
-                });
-            }
+                        mine
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(join_scoped).collect()
         });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every target classified")
-            })
-            .collect()
-    }
-
-    fn detection(&self, result: ScanResult) -> Detection {
-        Detection {
-            scores: result.scores,
-            best: result.best,
-            threshold: self.threshold,
-        }
+        out.sort_unstable_by_key(|(i, _)| *i);
+        out.into_iter().map(|(_, d)| d).collect()
     }
 
     /// Model `program` and classify it.
@@ -772,35 +550,20 @@ impl Detector {
         victim: &Victim,
         config: &ModelingConfig,
     ) -> Result<Detection, ModelError> {
-        self.classify_jobs(program, victim, config, 1)
-    }
-
-    /// Model `program` and classify it, scanning the repository with
-    /// `jobs` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from the modeling pipeline.
-    pub fn classify_jobs(
-        &self,
-        program: &Program,
-        victim: &Victim,
-        config: &ModelingConfig,
-        jobs: usize,
-    ) -> Result<Detection, ModelError> {
         let mut sp = sca_telemetry::span("detect");
         sp.attr("program", program.name());
         sp.attr("threshold", self.threshold);
         let outcome = build_model(program, victim, config)?;
-        let detection = self.classify_model_jobs(&outcome.cst_bbs, jobs);
+        let detection = self.classify_model(&outcome.cst_bbs);
         self.annotate(&mut sp, &detection);
         Ok(detection)
     }
 
-    /// [`Detector::classify_jobs`] with the target model served by a
+    /// [`Detector::classify`] with the target model served by a
     /// [`ModelBuilder`] — repeated classifications of the same target
-    /// (or a warm disk cache) skip the modeling pass entirely. The
-    /// builder's configuration is used for modeling.
+    /// (or a warm disk cache) skip the modeling pass entirely — and the
+    /// repository scanned with `jobs` worker threads. The builder's
+    /// configuration is used for modeling.
     ///
     /// # Errors
     ///
@@ -819,6 +582,168 @@ impl Detector {
         let detection = self.classify_model_jobs(&model, jobs);
         self.annotate(&mut sp, &detection);
         Ok(detection)
+    }
+
+    /// Scan and render under one `detect.scan` span: the body of every
+    /// classify entry point, and of a streaming session's full detection.
+    pub(crate) fn detect(
+        &self,
+        target: &CstBbs,
+        seed: Option<(usize, f64)>,
+        deadline: Option<Instant>,
+        jobs: usize,
+    ) -> Result<Detection, DeadlineExceeded> {
+        let mut sp = sca_telemetry::span("detect.scan");
+        match self.scan(target, seed, deadline, jobs) {
+            Ok(scan) => {
+                let detection = self.render(scan);
+                self.annotate(&mut sp, &detection);
+                Ok(detection)
+            }
+            Err(e) => {
+                sp.attr("deadline_exceeded", true);
+                Err(e)
+            }
+        }
+    }
+
+    /// Check a scratch engine out of the free list, cloning the frozen
+    /// engine when the list is empty. The lock is held for the pop only.
+    fn checkout(&self) -> Scratch<'_> {
+        let engine = lock(&self.scratch).pop();
+        Scratch {
+            home: &self.scratch,
+            engine: engine.unwrap_or_else(|| self.frozen.engine.clone()),
+        }
+    }
+
+    /// The scan core, phases 0 and 1: prepare the target, compute the
+    /// per-entry interval envelopes (and, with an index, the sort keys),
+    /// then find the exact best entry under the best-so-far cutoff —
+    /// starting from `seed` when given (see
+    /// [`Detector::scan_best_seeded`]), on `jobs` threads when more than
+    /// one. The optional wall-clock deadline is checked before every
+    /// phase-1 entry and once per DTW row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
+    fn scan(
+        &self,
+        target: &CstBbs,
+        seed: Option<(usize, f64)>,
+        deadline: Option<Instant>,
+        jobs: usize,
+    ) -> Result<Scan, DeadlineExceeded> {
+        let prepared = &self.frozen.prepared;
+        let n = prepared.len();
+        debug_assert!(seed.is_none_or(|(i, _)| i < n));
+        let mut scratch = self.checkout();
+        let mut counts = ScanCounts::default();
+        let prepared_target = scratch.engine.prepare(target);
+        let query = self.index.as_deref().map(|ix| ix.query(target));
+        let env: Vec<f64> = prepared
+            .iter()
+            .map(|pm| lb_interval(&prepared_target, pm))
+            .collect();
+        counts.lb_evals += n as u64;
+        let keys = query.as_ref().map(|q| {
+            counts.lb_evals += n as u64;
+            (0..n)
+                .map(|i| env[i].max(q.interval_bound(i)))
+                .collect::<Vec<f64>>()
+        });
+        let mut scan = Scan {
+            target: prepared_target,
+            env,
+            lb1c: vec![f64::NAN; n],
+            lb2c: vec![f64::NAN; n],
+            best: seed,
+            counts,
+        };
+        let visit = Visit {
+            frozen: &self.frozen,
+            query: query.as_ref(),
+            keys: keys.as_deref(),
+            deadline,
+        };
+        let jobs = jobs.clamp(1, n.max(1));
+        if jobs <= 1 {
+            visit.serial(&mut scratch.engine, &mut scan)?;
+        } else {
+            // The workers check out scratches of their own; this one goes
+            // back to the list first so one of them can reuse it.
+            drop(scratch);
+            visit.parallel(self, target, jobs, &mut scan)?;
+        }
+        Ok(scan)
+    }
+
+    /// Phase 2: render the per-entry scores from the best distance found
+    /// in phase 1 — a pure function of the target, the repository, and
+    /// that distance, never of the visit order, so indexed, linear,
+    /// seeded, and parallel scans produce byte-identical detections. The
+    /// best entry reports its exact score; every other entry reports the
+    /// tightest *deterministic* lower-bound cascade value as an
+    /// upper-bound score (no DTW runs here).
+    fn render(&self, mut scan: Scan) -> Detection {
+        let prepared = &self.frozen.prepared;
+        let scores = match scan.best {
+            // A nonempty repository always yields a best entry (the first
+            // visited entry's DTW runs under an infinite cutoff).
+            None => Vec::new(),
+            Some((best_idx, best_d)) => self
+                .frozen
+                .repo
+                .entries()
+                .iter()
+                .enumerate()
+                .map(|(i, entry)| {
+                    if i == best_idx {
+                        return EntryScore {
+                            poc: entry.name.clone(),
+                            family: entry.family,
+                            score: score_of(best_d),
+                            exact: true,
+                        };
+                    }
+                    // The same cheapest-first cascade as phase 1, but
+                    // against the fixed final distance: deepen the bound
+                    // only while it has not yet proven the entry can't
+                    // beat the best. Cached phase-1 values are pure
+                    // functions of (target, entry), so reusing them cannot
+                    // depend on the visit order.
+                    let mut bound = scan.env[i];
+                    if bound <= best_d {
+                        if scan.lb1c[i].is_nan() {
+                            scan.lb1c[i] = lb_length(&scan.target, &prepared[i]);
+                            scan.counts.lb_evals += 1;
+                        }
+                        bound = bound.max(scan.lb1c[i]);
+                        if bound <= best_d {
+                            if scan.lb2c[i].is_nan() {
+                                scan.lb2c[i] = lb_csp_envelope(&scan.target, &prepared[i]);
+                                scan.counts.lb_evals += 1;
+                            }
+                            bound = bound.max(scan.lb2c[i]);
+                        }
+                    }
+                    EntryScore {
+                        poc: entry.name.clone(),
+                        family: entry.family,
+                        score: score_of(bound),
+                        exact: false,
+                    }
+                })
+                .collect(),
+        };
+        debug_assert!(scan.best.is_some() || self.frozen.repo.is_empty());
+        flush_scan_counts(&scan.counts);
+        Detection {
+            scores,
+            best: scan.best.map(|(i, _)| i),
+            threshold: self.threshold,
+        }
     }
 
     /// Attach the standard verdict attributes to a `detect` or
@@ -854,8 +779,11 @@ impl Detector {
     }
 }
 
-fn slot_lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    slot.lock().unwrap_or_else(|e| e.into_inner())
+/// Join a scoped worker, re-raising its panic on the caller.
+fn join_scoped<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Bridge an engine stats delta into the telemetry counters.
@@ -905,63 +833,209 @@ fn flush_scan_counts(counts: &ScanCounts) {
     sca_telemetry::counter("index.full_dtw_runs", counts.full_dtw_runs);
 }
 
-/// Phase 0 of a pruned scan: the prepared target, the per-entry
-/// interval-envelope bounds, and (when an index is attached) the
-/// phase-1 sort keys.
-struct Phase0<'ix> {
+/// What phases 0 and 1 of one scan leave for phase 2.
+struct Scan {
+    /// The target, prepared in the scan's scratch engine.
     target: PreparedModel,
-    query: Option<QueryContext<'ix>>,
-    /// Per-entry interval-envelope bound — index-free, so phase 2 can
-    /// render from it identically with and without an index.
+    /// Per-entry interval-envelope bound — index-free, so phase 2 renders
+    /// from it identically with and without an index.
     env: Vec<f64>,
+    /// Phase-1 length / CSP-envelope bounds, `NaN` where not computed —
+    /// pure functions of (target, entry), reused by phase 2.
+    lb1c: Vec<f64>,
+    lb2c: Vec<f64>,
+    /// The exact best entry: minimum distance, later index on ties.
+    best: Option<(usize, f64)>,
+    counts: ScanCounts,
+}
+
+/// Whether the completed distance `d` of entry `i` beats `best` under
+/// the scan's tie rule: minimum distance, **later** entry on ties — the
+/// naive `max_by` over all scores, stated in a form independent of the
+/// visit order.
+fn beats(i: usize, d: f64, best: Option<(usize, f64)>) -> bool {
+    best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi))
+}
+
+/// The read-only inputs of phase 1.
+struct Visit<'a> {
+    frozen: &'a Frozen,
+    query: Option<&'a QueryContext<'a>>,
     /// Per-entry sort keys (`Some` only with an index): `max(env, pivot
     /// interval bound)`. Phase 1 visits entries in ascending `(key,
     /// index)` order — the serial scan through a lazy min-heap, worker
     /// pools through a precomputed sort; both produce the same sequence.
     /// Once a visited key exceeds the best-so-far distance, every
     /// unvisited entry's key does too, so the scan stops.
-    keys: Option<Vec<f64>>,
+    keys: Option<&'a [f64]>,
+    deadline: Option<Instant>,
 }
 
-fn phase0<'ix>(
-    engine: &mut SimilarityEngine,
-    prepared: &[PreparedModel],
-    index: Option<&'ix RepoIndex>,
-    target: &CstBbs,
-    counts: &mut ScanCounts,
-) -> Phase0<'ix> {
-    let prepared_target = engine.prepare(target);
-    let n = prepared.len();
-    let query = index.map(|ix| ix.query(target));
-    let env: Vec<f64> = prepared
-        .iter()
-        .map(|pm| lb_interval(&prepared_target, pm))
-        .collect();
-    counts.lb_evals += n as u64;
-    let keys = query.as_ref().map(|q| {
-        let keys: Vec<f64> = (0..n).map(|i| env[i].max(q.interval_bound(i))).collect();
-        counts.lb_evals += n as u64;
-        keys
-    });
-    Phase0 {
-        target: prepared_target,
-        query,
-        env,
-        keys,
+impl Visit<'_> {
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-}
 
-/// The visit order the sort keys dictate, materialized for a worker pool
-/// to drain by shared atomic position: ascending `(key, index)`, i.e.
-/// cheapest first, repository order on ties (and throughout when no index
-/// is attached). The serial scan does not materialize this — it pops the
-/// same sequence lazily from a min-heap ([`scan_target`]).
-fn sorted_order(keys: Option<&[f64]>, n: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    if let Some(keys) = keys {
-        order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+    /// Phase 1 on the calling thread.
+    fn serial(
+        &self,
+        engine: &mut SimilarityEngine,
+        scan: &mut Scan,
+    ) -> Result<(), DeadlineExceeded> {
+        let prepared = &self.frozen.prepared;
+        let n = prepared.len();
+        // Lazy visit order: a min-heap over `(key bits, index)` pops
+        // entries in exactly the ascending `(key, index)` sequence a full
+        // sort would produce (keys are non-negative finite floats, whose
+        // bit patterns order like their values), but costs `O(n)` to
+        // build plus `O(log n)` per visited entry — and the indexed scan
+        // visits only a short prefix before the sort-key stop.
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = match self.keys {
+            Some(keys) => keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| Reverse((k.to_bits(), i)))
+                .collect(),
+            None => BinaryHeap::new(),
+        };
+        let mut linear = 0..n;
+        loop {
+            // Without an index there are no keys: visit in repository
+            // order with a key that can never trip the stop below.
+            let next = if self.keys.is_some() {
+                heap.pop().map(|Reverse((k, i))| (i, f64::from_bits(k)))
+            } else {
+                linear.next().map(|i| (i, f64::NEG_INFINITY))
+            };
+            let Some((i, key)) = next else { break };
+            if self.expired() {
+                return Err(DeadlineExceeded);
+            }
+            let cutoff = scan.best.map_or(f64::INFINITY, |(_, d)| d);
+            if key > cutoff {
+                // Keys ascend along the visit order: this entry and every
+                // entry still in the heap are rejected by their sort key
+                // alone.
+                scan.counts.entries_skipped += (heap.len() + 1) as u64;
+                engine.note_lb_skip(&scan.target, &prepared[i]);
+                for &Reverse((_, j)) in heap.iter() {
+                    engine.note_lb_skip(&scan.target, &prepared[j]);
+                }
+                break;
+            }
+            let distance = probe_entry(
+                engine,
+                &scan.target,
+                &prepared[i],
+                &self.frozen.repo.entries()[i],
+                self.query,
+                i,
+                scan.env[i],
+                cutoff,
+                self.deadline,
+                &mut scan.lb1c[i],
+                &mut scan.lb2c[i],
+                &mut scan.counts,
+            )?;
+            if let Some(d) = distance {
+                if beats(i, d, scan.best) {
+                    scan.best = Some((i, d));
+                }
+            }
+        }
+        Ok(())
     }
-    order
+
+    /// Phase 1 on `jobs` scoped threads, each with its own scratch
+    /// engine (the target is prepared once per scratch; distances do not
+    /// depend on which engine interned the models). Workers drain the
+    /// sorted visit order by a shared atomic position and share the
+    /// best-so-far distance through an atomic minimum; the completed
+    /// distances merge under the serial scan's tie rule, so the winner
+    /// is independent of which worker got there first.
+    fn parallel(
+        &self,
+        detector: &Detector,
+        target: &CstBbs,
+        jobs: usize,
+        scan: &mut Scan,
+    ) -> Result<(), DeadlineExceeded> {
+        let prepared = &self.frozen.prepared;
+        let n = prepared.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        if let Some(keys) = self.keys {
+            order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+        }
+        let next = AtomicUsize::new(0);
+        let aborted = AtomicBool::new(false);
+        // Best distance so far, as bits: for non-negative IEEE floats the
+        // bit pattern orders exactly like the value, so `fetch_min` on
+        // bits is `fetch_min` on distances.
+        let best_bits = AtomicU64::new(scan.best.map_or(f64::INFINITY, |(_, d)| d).to_bits());
+        let env = &scan.env;
+        let worker = || -> Result<(Vec<(usize, f64)>, ScanCounts), DeadlineExceeded> {
+            let mut scratch = detector.checkout();
+            let engine = &mut scratch.engine;
+            let t = engine.prepare(target);
+            let mut found = Vec::new();
+            let mut counts = ScanCounts::default();
+            loop {
+                let pos = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&i) = order.get(pos) else { break };
+                if aborted.load(Ordering::Relaxed) || self.expired() {
+                    aborted.store(true, Ordering::Relaxed);
+                    return Err(DeadlineExceeded);
+                }
+                let cutoff = f64::from_bits(best_bits.load(Ordering::Relaxed));
+                if let Some(keys) = self.keys {
+                    // The shared best only ever decreases, so a key above
+                    // the cutoff now stays above it forever: skipping here
+                    // is admissible even though other workers are still
+                    // lowering the best.
+                    if keys[i] > cutoff {
+                        counts.entries_skipped += 1;
+                        engine.note_lb_skip(&t, &prepared[i]);
+                        continue;
+                    }
+                }
+                let (mut lb1, mut lb2) = (f64::NAN, f64::NAN);
+                let distance = probe_entry(
+                    engine,
+                    &t,
+                    &prepared[i],
+                    &self.frozen.repo.entries()[i],
+                    self.query,
+                    i,
+                    env[i],
+                    cutoff,
+                    self.deadline,
+                    &mut lb1,
+                    &mut lb2,
+                    &mut counts,
+                )
+                .inspect_err(|_| aborted.store(true, Ordering::Relaxed))?;
+                if let Some(d) = distance {
+                    best_bits.fetch_min(d.to_bits(), Ordering::Relaxed);
+                    found.push((i, d));
+                }
+            }
+            Ok((found, counts))
+        };
+        let results: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..jobs).map(|_| s.spawn(worker)).collect();
+            workers.into_iter().map(join_scoped).collect()
+        });
+        for result in results {
+            let (found, counts) = result?;
+            scan.counts.absorb(&counts);
+            for (i, d) in found {
+                if beats(i, d, scan.best) {
+                    scan.best = Some((i, d));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Phase-1 probe of one entry under `cutoff`: the cheapest-first cascade
@@ -1048,278 +1122,6 @@ fn probe_entry(
         flush_engine_stats(delta);
     }
     Ok(distance)
-}
-
-/// Phase 2: render the per-entry scores from the best distance found in
-/// phase 1 — a pure function of the target, the repository, and that
-/// distance, never of the visit order, so indexed, linear, and parallel
-/// scans produce byte-identical detections. The best entry reports its
-/// exact score; every other entry reports the tightest *deterministic*
-/// lower-bound cascade value as an upper-bound score (no DTW runs here).
-#[allow(clippy::too_many_arguments)]
-fn render_scores(
-    repo: &ModelRepository,
-    target: &PreparedModel,
-    prepared: &[PreparedModel],
-    env: &[f64],
-    lb1c: &mut [f64],
-    lb2c: &mut [f64],
-    best: Option<(usize, f64)>,
-    counts: &mut ScanCounts,
-) -> Vec<EntryScore> {
-    let Some((best_idx, best_d)) = best else {
-        // A nonempty repository always yields a best entry (the first
-        // visited entry's DTW runs under an infinite cutoff).
-        debug_assert!(repo.is_empty());
-        return Vec::new();
-    };
-    render_scores_against(
-        repo,
-        target,
-        prepared,
-        env,
-        lb1c,
-        lb2c,
-        best_d,
-        Some(best_idx),
-        counts,
-    )
-}
-
-/// The body of [`render_scores`], parameterized on an external best
-/// distance: `exact_idx` is the local index of the entry whose exact
-/// distance *is* `best_d`, or `None` when another shard of a decomposed
-/// repository owns the winner and every local entry renders a bound.
-#[allow(clippy::too_many_arguments)]
-fn render_scores_against(
-    repo: &ModelRepository,
-    target: &PreparedModel,
-    prepared: &[PreparedModel],
-    env: &[f64],
-    lb1c: &mut [f64],
-    lb2c: &mut [f64],
-    best_d: f64,
-    exact_idx: Option<usize>,
-    counts: &mut ScanCounts,
-) -> Vec<EntryScore> {
-    repo.entries()
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            if Some(i) == exact_idx {
-                return EntryScore {
-                    poc: entry.name.clone(),
-                    family: entry.family,
-                    score: score_of(best_d),
-                    exact: true,
-                };
-            }
-            // The same cheapest-first cascade as phase 1, but against the
-            // fixed final distance: deepen the bound only while it has
-            // not yet proven the entry can't beat the best. Cached
-            // phase-1 values are pure functions of (target, entry), so
-            // reusing them cannot depend on the visit order.
-            let mut bound = env[i];
-            if bound <= best_d {
-                if lb1c[i].is_nan() {
-                    lb1c[i] = lb_length(target, &prepared[i]);
-                    counts.lb_evals += 1;
-                }
-                bound = bound.max(lb1c[i]);
-                if bound <= best_d {
-                    if lb2c[i].is_nan() {
-                        lb2c[i] = lb_csp_envelope(target, &prepared[i]);
-                        counts.lb_evals += 1;
-                    }
-                    bound = bound.max(lb2c[i]);
-                }
-            }
-            EntryScore {
-                poc: entry.name.clone(),
-                family: entry.family,
-                score: score_of(bound),
-                exact: false,
-            }
-        })
-        .collect()
-}
-
-/// Scan the target against the repository: phase 0 (envelopes and visit
-/// order), phase 1 (find the best entry under the best-so-far cutoff,
-/// stopping at the first too-expensive sort key when indexed), phase 2
-/// (render scores from the final best distance). The optional wall-clock
-/// deadline is checked before every phase-1 entry and once per DTW row.
-///
-/// # Errors
-///
-/// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
-fn scan_target(
-    state: &mut ScanState,
-    repo: &ModelRepository,
-    index: Option<&RepoIndex>,
-    target: &CstBbs,
-    deadline: Option<Instant>,
-) -> Result<ScanResult, DeadlineExceeded> {
-    let mut p1 = scan_phase1(state, repo, index, target, None, deadline)?;
-    let scores = render_scores(
-        repo,
-        &p1.p0.target,
-        &state.prepared,
-        &p1.p0.env,
-        &mut p1.lb1c,
-        &mut p1.lb2c,
-        p1.best,
-        &mut p1.counts,
-    );
-    flush_scan_counts(&p1.counts);
-    Ok(ScanResult {
-        scores,
-        best: p1.best.map(|(i, _)| i),
-    })
-}
-
-/// Everything [`scan_target`] does up to (and including) finding the
-/// best entry, bundled so phase 2 can run later — or against a *merged*
-/// best when the repository is decomposed into shards and another
-/// shard's winner beats this one's ([`Detector::scan_best`]).
-struct Phase1<'ix> {
-    p0: Phase0<'ix>,
-    lb1c: Vec<f64>,
-    lb2c: Vec<f64>,
-    best: Option<(usize, f64)>,
-    counts: ScanCounts,
-}
-
-fn scan_phase1<'ix>(
-    state: &mut ScanState,
-    repo: &ModelRepository,
-    index: Option<&'ix RepoIndex>,
-    target: &CstBbs,
-    seed: Option<(usize, f64)>,
-    deadline: Option<Instant>,
-) -> Result<Phase1<'ix>, DeadlineExceeded> {
-    let ScanState { engine, prepared } = state;
-    let mut counts = ScanCounts::default();
-    let p0 = phase0(engine, prepared, index, target, &mut counts);
-    let n = repo.len();
-    debug_assert!(seed.is_none_or(|(i, _)| i < n));
-    let mut best: Option<(usize, f64)> = seed;
-    let mut lb1c = vec![f64::NAN; n];
-    let mut lb2c = vec![f64::NAN; n];
-    // Lazy visit order: a min-heap over `(key bits, index)` pops entries
-    // in exactly the ascending `(key, index)` sequence a full sort would
-    // produce (keys are non-negative finite floats, whose bit patterns
-    // order like their values), but costs `O(n)` to build plus `O(log n)`
-    // per visited entry — and the indexed scan visits only a short prefix
-    // before the sort-key stop.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = match &p0.keys {
-        Some(keys) => keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| Reverse((k.to_bits(), i)))
-            .collect(),
-        None => BinaryHeap::new(),
-    };
-    let mut linear = 0..n;
-    loop {
-        // Without an index there are no keys: visit in repository order
-        // with a key that can never trip the stop below.
-        let next = if p0.keys.is_some() {
-            heap.pop().map(|Reverse((k, i))| (i, f64::from_bits(k)))
-        } else {
-            linear.next().map(|i| (i, f64::NEG_INFINITY))
-        };
-        let Some((i, key)) = next else { break };
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(DeadlineExceeded);
-            }
-        }
-        let cutoff = best.map_or(f64::INFINITY, |(_, d)| d);
-        if key > cutoff {
-            // Keys ascend along the visit order: this entry and every
-            // entry still in the heap are rejected by their sort key
-            // alone.
-            counts.entries_skipped += (heap.len() + 1) as u64;
-            engine.note_lb_skip(&p0.target, &prepared[i]);
-            for &Reverse((_, j)) in heap.iter() {
-                engine.note_lb_skip(&p0.target, &prepared[j]);
-            }
-            break;
-        }
-        let distance = probe_entry(
-            engine,
-            &p0.target,
-            &prepared[i],
-            &repo.entries()[i],
-            p0.query.as_ref(),
-            i,
-            p0.env[i],
-            cutoff,
-            deadline,
-            &mut lb1c[i],
-            &mut lb2c[i],
-            &mut counts,
-        )?;
-        if let Some(d) = distance {
-            // Minimum distance, later entry on ties — the same rule as
-            // the naive `max_by` over all scores, stated in a form that
-            // is independent of the visit order.
-            if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
-                best = Some((i, d));
-            }
-        }
-    }
-    Ok(Phase1 {
-        p0,
-        lb1c,
-        lb2c,
-        best,
-        counts,
-    })
-}
-
-/// Exhaustive scan: every entry's DTW runs to completion under an
-/// infinite cutoff, so every score is exact. No pruning, no index.
-fn scan_full(state: &mut ScanState, repo: &ModelRepository, target: &CstBbs) -> ScanResult {
-    let ScanState { engine, prepared } = state;
-    let prepared_target = engine.prepare(target);
-    let mut counts = ScanCounts::default();
-    let mut scores = Vec::with_capacity(repo.len());
-    let mut best: Option<(usize, f64)> = None;
-    for (i, (entry, entry_model)) in repo.entries().iter().zip(prepared.iter()).enumerate() {
-        let (mut lb1, mut lb2) = (f64::NAN, f64::NAN);
-        let distance = probe_entry(
-            engine,
-            &prepared_target,
-            entry_model,
-            entry,
-            None,
-            i,
-            0.0,
-            f64::INFINITY,
-            None,
-            &mut lb1,
-            &mut lb2,
-            &mut counts,
-        )
-        .expect("no deadline was given");
-        let d = distance.expect("an unbounded comparison always completes");
-        if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i > bi)) {
-            best = Some((i, d));
-        }
-        scores.push(EntryScore {
-            poc: entry.name.clone(),
-            family: entry.family,
-            score: score_of(d),
-            exact: true,
-        });
-    }
-    flush_scan_counts(&counts);
-    ScanResult {
-        scores,
-        best: best.map(|(i, _)| i),
-    }
 }
 
 #[cfg(test)]
@@ -1426,7 +1228,7 @@ mod tests {
             }
             for (t, marker) in [(1usize, 0u64), (4, 0), (5, 1), (10, 1)] {
                 let target = dummy_model(t, marker);
-                let want = d.scan_best(&target, None).unwrap();
+                let want = d.scan_best_seeded(&target, None, None).unwrap();
                 // Seed with the true winner's exact distance (the case a
                 // streaming session produces), and with every other
                 // entry's exact distance (a stale tracked entry after the
@@ -1452,15 +1254,25 @@ mod tests {
     }
 
     #[test]
-    fn full_scan_is_exact_everywhere() {
-        let repo = repo4();
-        let d = Detector::new(repo.clone(), 0.2).unwrap();
-        let target = dummy_model(5, 1);
-        let det = d.classify_model_full(&target);
-        for (e, repo_entry) in det.scores.iter().zip(repo.entries()) {
-            assert!(e.exact);
-            assert_eq!(e.score, similarity_score(&target, &repo_entry.model));
-        }
+    fn scratch_engines_return_to_the_free_list() {
+        let d = Detector::new(repo4(), 0.2).unwrap();
+        let target = dummy_model(5, 0);
+        let serial = d.classify_model(&target);
+        assert_eq!(
+            lock(&d.scratch).len(),
+            1,
+            "a serial scan checks out one scratch"
+        );
+        d.classify_model(&target);
+        assert_eq!(lock(&d.scratch).len(), 1, "and reuses it");
+        let parallel = d.classify_model_jobs(&target, 3);
+        assert!((1..=3).contains(&lock(&d.scratch).len()));
+        assert_eq!(serial.scores, parallel.scores);
+        // A clone shares the frozen repository but not the free list.
+        let c = d.clone();
+        assert!(Arc::ptr_eq(&c.frozen, &d.frozen));
+        assert!(lock(&c.scratch).is_empty());
+        assert_eq!(c.classify_model(&target).scores, serial.scores);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   lists actually changed.
 //!
 //! * [`StreamSession`] — anytime scoring. Each increment re-scans the
-//!   repository with [`ShardedDetector::scan_best_seeded`], seeding the
+//!   repository with [`Detector::scan_best_seeded`], seeding the
 //!   best-so-far cutoff with the previous winner's exact distance to the
 //!   *current* prefix, maintained cheaply by [`PrefixDtw`] (append-only
 //!   prefixes extend the DTW table by new rows instead of recomputing
@@ -42,13 +42,12 @@ use sca_cpu::{Execution, Victim};
 use sca_isa::Program;
 
 use crate::cst::CstBbs;
-use crate::detector::{Detection, InvalidThreshold, RepoEntry};
+use crate::detector::{Detection, Detector, InvalidThreshold, RepoEntry};
 use crate::engine::{DeadlineExceeded, PrefixDtw, SimilarityEngine};
 use crate::modeling::{
     finish_model, graph_from_trace, model_from_blocks_memo, ModelError, ModelingConfig,
     ModelingOutcome, ReplayMemo,
 };
-use crate::shard::ShardedDetector;
 
 /// Incrementally model a running program: advance the execution by
 /// bounded increments, snapshot the committed prefix's model on demand.
@@ -227,7 +226,7 @@ const POOL_LIMIT: usize = 1 << 16;
 /// (module docs).
 #[derive(Debug)]
 pub struct StreamSession<'a> {
-    detector: &'a ShardedDetector,
+    detector: &'a Detector,
     modeler: StreamingModeler,
     threshold: f64,
     sustain: u32,
@@ -235,7 +234,9 @@ pub struct StreamSession<'a> {
     /// Session-local similarity engine for the prefix-DTW seed. Distances
     /// it computes are bitwise identical to the detector engines' — the
     /// per-cell arithmetic depends only on the models, never on which
-    /// engine interned them.
+    /// engine interned them. The repository scans themselves go through
+    /// the detector's scratch free list, whose warm `D_IS` caches are
+    /// shared with every other caller of the detector.
     engine: SimilarityEngine,
     /// The tracked previous winner: global entry index plus its rolling
     /// prefix-DTW table against the growing target.
@@ -256,7 +257,7 @@ impl<'a> StreamSession<'a> {
     /// [`StreamSession::validate_threshold`]; `begin` only debug-asserts
     /// it.
     pub fn begin(
-        detector: &'a ShardedDetector,
+        detector: &'a Detector,
         program: &Program,
         victim: &Victim,
         modeling: &ModelingConfig,
@@ -309,7 +310,9 @@ impl<'a> StreamSession<'a> {
     ) -> Result<StreamUpdate, DeadlineExceeded> {
         let committed = self.modeler.advance(budget.unwrap_or(self.increment));
         let target = self.modeler.model_cst();
-        let best = self.scan(&target, deadline)?;
+        let seed = self.seed(&target);
+        let best = self.detector.scan_best_seeded(&target, seed, deadline)?;
+        self.track(best.map(|(i, _)| i));
         self.increments += 1;
 
         let score = best.map(|(i, d)| (i, 1.0 / (d + 1.0)));
@@ -345,26 +348,24 @@ impl<'a> StreamSession<'a> {
         })
     }
 
-    /// The full detection for the current prefix — phase 2 rendered
-    /// against the seeded scan's winner, byte-identical to classifying
-    /// the prefix's batch model outright.
+    /// The full detection for the current prefix — the seeded scan
+    /// rendered, byte-identical to classifying the prefix's batch model
+    /// outright.
     ///
     /// # Errors
     ///
     /// Returns [`DeadlineExceeded`] when `deadline` passes mid-scan.
     pub fn detection(&mut self, deadline: Option<Instant>) -> Result<Detection, DeadlineExceeded> {
         let target = self.modeler.model_cst();
-        let best = self.scan(&target, deadline)?;
-        Ok(self.detector.detection_from(&target, best))
+        let seed = self.seed(&target);
+        let detection = self.detector.detect(&target, seed, deadline, 1)?;
+        self.track(detection.best);
+        Ok(detection)
     }
 
-    /// Seeded scatter-scan of the current target, updating the tracked
-    /// winner and its prefix-DTW table for the next increment.
-    fn scan(
-        &mut self,
-        target: &CstBbs,
-        deadline: Option<Instant>,
-    ) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
+    /// The tracked winner's exact distance to the current target — the
+    /// scan's cutoff seed — extending its prefix-DTW table.
+    fn seed(&mut self, target: &CstBbs) -> Option<(usize, f64)> {
         if self.engine.pool_len() > POOL_LIMIT {
             self.engine = SimilarityEngine::new();
             if let Some((i, _)) = self.tracked {
@@ -372,13 +373,14 @@ impl<'a> StreamSession<'a> {
                 self.tracked = Some((i, PrefixDtw::new(&prepared)));
             }
         }
+        let (i, pd) = self.tracked.as_mut()?;
         let prepared_target = self.engine.prepare(target);
-        let seed = match &mut self.tracked {
-            Some((i, pd)) => Some((*i, pd.distance_to(&mut self.engine, &prepared_target))),
-            None => None,
-        };
-        let best = self.detector.scan_best_seeded(target, seed, deadline)?;
-        if let Some((bi, _)) = best {
+        Some((*i, pd.distance_to(&mut self.engine, &prepared_target)))
+    }
+
+    /// Track the scan's winner for the next increment's seed.
+    fn track(&mut self, best: Option<usize>) {
+        if let Some(bi) = best {
             if self.tracked.as_ref().map(|(i, _)| *i) != Some(bi) {
                 // New winner: start a fresh rolling table. It has not
                 // seen the current prefix yet — the next increment's
@@ -387,19 +389,11 @@ impl<'a> StreamSession<'a> {
                 self.tracked = Some((bi, PrefixDtw::new(&prepared)));
             }
         }
-        Ok(best)
     }
 
-    /// The repository entry at a global index, across shards.
-    fn entry(&self, global: usize) -> &'a RepoEntry {
-        for shard in self.detector.shards() {
-            if let Some(local) = global.checked_sub(shard.offset()) {
-                if local < shard.len() {
-                    return &shard.detector().repository().entries()[local];
-                }
-            }
-        }
-        panic!("entry index {global} out of range");
+    /// The repository entry at index `i`.
+    fn entry(&self, i: usize) -> &'a RepoEntry {
+        &self.detector.repository().entries()[i]
     }
 
     /// The alarm, if one has fired. Latched: never `Some` then `None`.
@@ -441,7 +435,7 @@ impl<'a> StreamSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{Detector, ModelRepository};
+    use crate::detector::ModelRepository;
     use crate::modeling::build_model;
     use sca_attacks::poc::{self, PocParams};
 
@@ -451,16 +445,14 @@ mod tests {
         cfg
     }
 
-    fn enrolled(cfg: &ModelingConfig) -> ShardedDetector {
+    fn enrolled(cfg: &ModelingConfig) -> Detector {
         let mut repo = ModelRepository::new();
         for family in AttackFamily::ALL {
             let poc = poc::representative(family, &PocParams::default());
             repo.add_poc(family, &poc.program, &poc.victim, cfg)
                 .expect("PoC models");
         }
-        ShardedDetector::from_detector(
-            Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range"),
-        )
+        Detector::new(repo, Detector::DEFAULT_THRESHOLD).expect("threshold in range")
     }
 
     #[test]

@@ -69,15 +69,18 @@ fn detector_scores_match_naive_on_poc_cross_matrix() {
             naive_best.to_bits(),
             "{name}: pruned best differs from naive"
         );
-        // The full scan reproduces every per-entry score bitwise.
-        let full = detector.classify_model_full(target);
-        for (entry, repo_entry) in full.scores.iter().zip(repo.entries()) {
+        // Every per-entry distance, through the engine directly,
+        // reproduces the naive score bitwise.
+        let mut engine = SimilarityEngine::new();
+        let prepared_target = engine.prepare(target);
+        for repo_entry in repo.entries() {
+            let prepared_entry = engine.prepare(&repo_entry.model);
+            let fast = 1.0 / (engine.distance(&prepared_target, &prepared_entry) + 1.0);
             let naive = similarity_score(target, &repo_entry.model);
-            assert!(entry.exact);
             assert_eq!(
-                entry.score.to_bits(),
+                fast.to_bits(),
                 naive.to_bits(),
-                "{name} vs {}: full-scan score differs from naive",
+                "{name} vs {}: engine score differs from naive",
                 repo_entry.name
             );
         }

@@ -25,7 +25,7 @@ use sca_attacks::dataset::mutated_family;
 use sca_attacks::mutate::MutationConfig;
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{benign, AttackFamily, Sample};
-use scaguard::{ModelError, ModelRepository, ShardedDetector, StreamConfig, StreamSession};
+use scaguard::{Detector, ModelError, ModelRepository, StreamConfig, StreamSession};
 
 use crate::EvalConfig;
 
@@ -95,11 +95,21 @@ const SWEEP_THRESHOLDS: [f64; 5] = [0.20, 0.28, 0.35, 0.45, 0.60];
 /// Sustain counts swept; includes the default k = 2.
 const SWEEP_SUSTAINS: [u32; 3] = [1, 2, 3];
 
+/// A detector over `repo` with a freshly built index attached.
+fn indexed_detector(repo: ModelRepository, threshold: f64) -> Detector {
+    let mut detector =
+        Detector::new(repo, threshold).expect("the default detection threshold is in range");
+    detector
+        .set_index(detector.build_index())
+        .expect("a freshly built index matches its repository");
+    detector
+}
+
 /// Stream one program to the end of its trace, recording the best score
 /// after every increment. The session's own alarm policy is disarmed
 /// (τ = 1, k = max) so the recording is policy-neutral.
 fn stream_scores(
-    detector: &ShardedDetector,
+    detector: &Detector,
     sample: &Sample,
     family: Option<AttackFamily>,
     cfg: &EvalConfig,
@@ -167,8 +177,7 @@ pub fn streaming_latency(cfg: &EvalConfig) -> Result<StreamingReport, ModelError
         let sample = poc::representative(family, &params);
         repo.add_poc(family, &sample.program, &sample.victim, &cfg.modeling)?;
     }
-    let detector = ShardedDetector::new(repo, cfg.threshold, 1)
-        .expect("the default detection threshold is in range");
+    let detector = indexed_detector(repo, cfg.threshold);
 
     let increment = StreamConfig::default().increment;
     let mutation = MutationConfig::default();
@@ -333,7 +342,7 @@ mod tests {
             repo.add_poc(family, &sample.program, &sample.victim, &cfg.modeling)
                 .expect("model poc");
         }
-        let detector = ShardedDetector::new(repo, cfg.threshold, 1).expect("threshold");
+        let detector = indexed_detector(repo, cfg.threshold);
 
         let sample = poc::representative(AttackFamily::FlushReload, &params);
         let policy = StreamConfig::default();

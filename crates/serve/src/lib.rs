@@ -22,12 +22,13 @@
 //!   owns the nonblocking listener and every accepted socket, assembles
 //!   frames from partial reads, and parks idle connections as plain
 //!   registry entries (no thread per connection — thousands of idle
-//!   watchers cost nothing); plus the fixed worker pool that scatters
-//!   each classify across per-shard probe pools and merges the shard
-//!   verdicts deterministically, hot repository reload (atomic `Arc`
-//!   swap — each request is answered by exactly one repository
-//!   generation), and deadline propagation into the engine's
-//!   bounded-DTW hook.
+//!   watchers cost nothing); plus the fixed worker pool whose workers
+//!   scan inline on the generation's shared, immutable prepared
+//!   repository (each scan checks a scratch engine out of the
+//!   detector's free list, so workers never serialize on a scan lock),
+//!   hot repository reload (atomic `Arc` swap — each request is
+//!   answered by exactly one repository generation), and deadline
+//!   propagation into the engine's bounded-DTW hook.
 //!
 //! [`client`] is the matching blocking client, used by `scaguard
 //! submit`, the integration tests, and the serve benchmark. It speaks

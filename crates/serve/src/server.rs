@@ -16,10 +16,10 @@
 //!    │  reload-repo: transient thread (connection paused meanwhile)
 //!    │  work frames (classify/classify-batch/model): queue
 //!    ▼
-//! BoundedQueue ──> worker pool ────────┬──> reply ──> conn outbox ──> reactor
-//!                     │ scatter        │ gather+merge
-//!                     ▼                │
-//!        per-shard probe queues ──> shard pools (detector clones)
+//! BoundedQueue ──> worker pool ──> reply ──> conn outbox ──> reactor
+//!                     │ scan inline
+//!                     ▼
+//!      shared Detector: frozen repository + scratch-engine free list
 //! ```
 //!
 //! - **Event-driven connections**: there is no thread per connection.
@@ -59,15 +59,12 @@
 //! - **Admission control**: the queue is bounded; when it is full the
 //!   reactor sheds the request with an explicit `overloaded` error
 //!   instead of queueing unboundedly or stalling the connection.
-//! - **Sharded scan**: the repository is split into [`ServeConfig::shards`]
-//!   contiguous slices, each with its own probe queue and threads holding
-//!   *private clones* of the slice's detector (re-cloned only when the
-//!   repository generation moves). A classify scatters one probe per
-//!   shard, gathers the per-shard `(global index, distance)` winners, and
-//!   merges them with the exact tie-break the unsharded scan uses — the
-//!   detection is byte-identical at any shard count. Even at one shard
-//!   the clone-per-thread pool wins: scans no longer serialize on a
-//!   single detector's scan-state mutex.
+//! - **Inline scans**: a worker scans on its own thread, against the
+//!   generation's shared [`Detector`]. The repository and its prepared
+//!   models are immutable; each scan checks a scratch similarity engine
+//!   out of the detector's free list (a lock held for the pop and the
+//!   push only), so concurrent workers and watch streams scan in
+//!   parallel and keep their warm `D_IS` caches from request to request.
 //! - **Deadline propagation**: a request deadline (per-request
 //!   `deadline_ms` or the server default) is fixed at admission and
 //!   propagated into the engine's bounded-DTW hook, so an expired
@@ -111,8 +108,8 @@ use sca_telemetry::{
 use scaguard::persist::LoadRepoError;
 use scaguard::{
     detection_json, index_sidecar_path, load_index, load_repository, model_text, Alarm, CstBbs,
-    DeadlineExceeded, Detector, InvalidThreshold, ModelBuilder, ModelRepository, ModelingConfig,
-    ShardedDetector, StreamConfig, StreamSession, StreamUpdate, StreamingModeler,
+    DeadlineExceeded, Detection, Detector, InvalidThreshold, ModelBuilder, ModelRepository,
+    ModelingConfig, StreamConfig, StreamSession, StreamUpdate, StreamingModeler,
 };
 
 use crate::protocol::{
@@ -131,11 +128,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker-pool size (default 4).
     pub workers: usize,
-    /// Repository shard count (default 1). Each shard owns a contiguous
-    /// slice of the enrolled repository plus its own index and probe
-    /// pool; a classify fans out to every shard and merges the winners
-    /// deterministically, so detections are byte-identical at any count.
-    pub shards: usize,
     /// Admission-queue capacity (default 64); requests beyond it are
     /// shed with an `overloaded` response.
     pub queue_depth: usize,
@@ -193,7 +185,6 @@ impl ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            shards: 1,
             queue_depth: 64,
             deadline_ms: None,
             threshold: Detector::DEFAULT_THRESHOLD,
@@ -264,14 +255,17 @@ impl From<InvalidThreshold> for ServeError {
 struct RepoState {
     generation: u64,
     path: PathBuf,
-    detector: ShardedDetector,
+    detector: Detector,
 }
 
 impl RepoState {
     fn json(&self) -> Json {
         Json::Obj(vec![
             ("generation".into(), Json::Num(self.generation as f64)),
-            ("entries".into(), Json::Num(self.detector.len() as f64)),
+            (
+                "entries".into(),
+                Json::Num(self.detector.repository().len() as f64),
+            ),
             ("path".into(), Json::Str(self.path.display().to_string())),
         ])
     }
@@ -469,35 +463,6 @@ fn request_kind(request: &Request) -> &'static str {
     }
 }
 
-/// One scatter probe: find one shard's best `(global index, distance)`
-/// candidate for `target`. The shard index is implicit — each probe
-/// queue is drained only by its own shard's threads.
-struct ShardTask {
-    repo: Arc<RepoState>,
-    target: Arc<CstBbs>,
-    deadline: Option<Instant>,
-    /// The requesting frame's trace id: the probe binds it so the
-    /// engine spans it emits land in (and are drained from) the right
-    /// trace instead of leaking into the resident registry.
-    trace_id: u64,
-    reply: mpsc::Sender<ShardVerdict>,
-}
-
-/// One shard's answer to a probe.
-struct ShardVerdict {
-    shard: usize,
-    scan_ns: u64,
-    result: Result<Option<(usize, f64)>, DeadlineExceeded>,
-}
-
-/// One shard's probe queue plus its busy gauge. The pool's threads each
-/// hold a private, generation-cached clone of the shard's detector, so
-/// steady-state probes touch no shared locks at all.
-struct ShardPool {
-    queue: BoundedQueue<ShardTask>,
-    busy: AtomicU64,
-}
-
 /// State shared by the acceptor, handlers, and workers.
 struct Shared {
     config: ServeConfig,
@@ -527,8 +492,6 @@ struct Shared {
     flight: FlightRecorder,
     /// Open slow-request log, when configured.
     slow_log: Option<Mutex<File>>,
-    /// One probe pool per repository shard (always at least one).
-    shard_pools: Vec<ShardPool>,
 }
 
 impl Shared {
@@ -587,7 +550,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    shard_threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -612,20 +574,12 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for every worker, shard thread, and the reactor to exit.
+    /// Wait for every worker and the reactor to exit.
     pub fn join(mut self) {
         // The reactor keeps sweeping while the workers drain so their
         // final replies still reach clients; it is stopped last.
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        // Only once the gatherer workers are gone can no new probes be
-        // scattered; now the shard pools can drain out and exit.
-        for pool in &self.shared.shard_pools {
-            pool.queue.close();
-        }
-        for t in self.shard_threads.drain(..) {
-            let _ = t.join();
         }
         // Every reply is now in its outbox: one final bounded flush
         // pass, then the reactor exits.
@@ -637,27 +591,23 @@ impl ServerHandle {
     }
 }
 
-/// Start a server for `config`: load the repository, bind the listener,
-/// spawn the worker pool and the acceptor. Returns as soon as the
-/// server is ready to accept connections.
-///
-/// # Errors
-///
-/// [`ServeError::Repo`] when the repository file cannot be loaded
-/// (the error names the file, line, and reason); [`ServeError::Io`]
-/// when the listen address cannot be bound.
-/// Attach the repository's sidecar index (`<repo>.idx`) to a detector,
-/// rebuilding in memory when the sidecar is missing, corrupt, or stale.
-/// The index only prunes — detections are byte-identical with or
-/// without it — so a bad sidecar warns on stderr and is never fatal.
-/// Runs at startup and on every `reload-repo`, so a hot-reloaded
-/// generation keeps its index.
-fn attach_index(detector: &mut Detector, repo_path: &Path) {
+/// Build the detector for a freshly loaded repository and attach its
+/// sidecar index (`<repo>.idx`), rebuilding in memory when the sidecar
+/// is missing, corrupt, or stale. The index only prunes — detections
+/// are byte-identical with or without it — so a bad sidecar warns on
+/// stderr and is never fatal. Runs at startup and on every
+/// `reload-repo`, so a hot-reloaded generation keeps its index.
+fn build_detector(
+    repo: ModelRepository,
+    repo_path: &Path,
+    threshold: f64,
+) -> Result<Detector, InvalidThreshold> {
+    let mut detector = Detector::new(repo, threshold)?;
     let sidecar = index_sidecar_path(repo_path);
     match load_index(&sidecar) {
         Ok(index) => {
             if detector.set_index(index).is_ok() {
-                return;
+                return Ok(detector);
             }
             eprintln!(
                 "sca-serve: index {} is stale for {}; rebuilding in memory",
@@ -671,28 +621,18 @@ fn attach_index(detector: &mut Detector, repo_path: &Path) {
     detector
         .set_index(index)
         .expect("a freshly built index matches its repository");
+    Ok(detector)
 }
 
-/// Build the (possibly sharded) detector for a freshly loaded
-/// repository. At one shard the full-repository sidecar index
-/// (`<repo>.idx`) is attached; above that, each shard builds its own
-/// in-memory index over its slice — a full-repository sidecar cannot
-/// match a sub-repository's fingerprint.
-fn build_sharded(
-    repo: ModelRepository,
-    repo_path: &Path,
-    threshold: f64,
-    shards: usize,
-) -> Result<ShardedDetector, InvalidThreshold> {
-    if shards.max(1) == 1 {
-        let mut detector = Detector::new(repo, threshold)?;
-        attach_index(&mut detector, repo_path);
-        Ok(ShardedDetector::from_detector(detector))
-    } else {
-        ShardedDetector::new(repo, threshold, shards)
-    }
-}
-
+/// Start a server for `config`: load the repository, bind the listener,
+/// spawn the worker pool and the reactor. Returns as soon as the server
+/// is ready to accept connections.
+///
+/// # Errors
+///
+/// [`ServeError::Repo`] when the repository file cannot be loaded
+/// (the error names the file, line, and reason); [`ServeError::Io`]
+/// when the listen address cannot be bound.
 pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     if config.metrics {
         sca_telemetry::set_enabled(true);
@@ -704,12 +644,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         None => None,
     };
     let repo = load_repository(&config.repo_path)?;
-    let detector = build_sharded(
-        repo,
-        Path::new(&config.repo_path),
-        config.threshold,
-        config.shards,
-    )?;
+    let detector = build_detector(repo, Path::new(&config.repo_path), config.threshold)?;
     let listener = TcpListener::bind(&config.addr)?;
     // The reactor owns every socket and must never block in a syscall:
     // accepts, reads, and writes all go nonblocking and are revisited
@@ -717,16 +652,6 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    let shard_count = config.shards.max(1);
-    // Probe-queue capacity: every gatherer worker can have at most one
-    // probe outstanding per shard at a time, so `workers` never sheds;
-    // the slack absorbs the inline-fallback race.
-    let shard_pools: Vec<ShardPool> = (0..shard_count)
-        .map(|_| ShardPool {
-            queue: BoundedQueue::new(workers * 2),
-            busy: AtomicU64::new(0),
-        })
-        .collect();
     let shared = Arc::new(Shared {
         builder: ModelBuilder::new(&ModelingConfig::default()),
         repo: Mutex::new(Arc::new(RepoState {
@@ -747,25 +672,15 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         wake: Arc::new(ReactorWake::default()),
         flight: FlightRecorder::new(config.flight_capacity),
         slow_log,
-        shard_pools,
         config,
     });
 
     // A startup spawn failure is a hard error, never a silently smaller
-    // pool: close the queues so the threads already spawned exit, join
+    // pool: close the queue so the workers already spawned exit, join
     // them, and hand the caller the `io::Error`.
-    let fail_spawn = |shared: &Arc<Shared>,
-                      workers: Vec<JoinHandle<()>>,
-                      shard_threads: Vec<JoinHandle<()>>,
-                      e: io::Error| {
+    let fail_spawn = |shared: &Arc<Shared>, workers: Vec<JoinHandle<()>>, e: io::Error| {
         shared.queue.close();
-        for pool in &shared.shard_pools {
-            pool.queue.close();
-        }
         for h in workers {
-            let _ = h.join();
-        }
-        for h in shard_threads {
             let _ = h.join();
         }
         ServeError::Io(e)
@@ -779,23 +694,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
             .spawn(move || worker_loop(&s))
         {
             Ok(h) => pool.push(h),
-            Err(e) => return Err(fail_spawn(&shared, pool, Vec::new(), e)),
-        }
-    }
-
-    // The shard pools share the worker pool's parallelism budget:
-    // ~`workers` probe threads total, spread evenly, at least one per
-    // shard. Excess probes queue briefly rather than oversubscribing.
-    let per_shard = workers.div_ceil(shard_count).max(1);
-    let mut shard_threads: Vec<JoinHandle<()>> = Vec::with_capacity(shard_count * per_shard);
-    for (s, t) in (0..shard_count).flat_map(|s| (0..per_shard).map(move |t| (s, t))) {
-        let sh = Arc::clone(&shared);
-        match thread::Builder::new()
-            .name(format!("sca-serve-shard-{s}-{t}"))
-            .spawn(move || shard_loop(&sh, s))
-        {
-            Ok(h) => shard_threads.push(h),
-            Err(e) => return Err(fail_spawn(&shared, pool, shard_threads, e)),
+            Err(e) => return Err(fail_spawn(&shared, pool, e)),
         }
     }
 
@@ -807,14 +706,13 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     };
     let reactor = match reactor {
         Ok(h) => h,
-        Err(e) => return Err(fail_spawn(&shared, pool, shard_threads, e)),
+        Err(e) => return Err(fail_spawn(&shared, pool, e)),
     };
 
     Ok(ServerHandle {
         shared,
         reactor: Some(reactor),
         workers: pool,
-        shard_threads,
     })
 }
 
@@ -1437,9 +1335,11 @@ fn stats_frame(shared: &Arc<Shared>) -> Json {
                     num(shared.streams_active.load(Ordering::Relaxed)),
                 ),
                 ("workers".into(), num(shared.config.workers.max(1) as u64)),
-                ("shards".into(), num(shared.shard_pools.len() as u64)),
                 ("repo_generation".into(), num(repo.generation)),
-                ("repo_entries".into(), num(repo.detector.len() as u64)),
+                (
+                    "repo_entries".into(),
+                    num(repo.detector.repository().len() as u64),
+                ),
                 (
                     "model_cache_entries".into(),
                     num(shared.builder.len() as u64),
@@ -1456,7 +1356,7 @@ fn stats_frame(shared: &Arc<Shared>) -> Json {
 fn live_gauges(shared: &Arc<Shared>) -> Vec<(String, u64)> {
     let s = shared.stats();
     let repo = shared.repo_snapshot();
-    let mut gauges = vec![
+    vec![
         ("serve.queue_depth".into(), shared.queue.depth() as u64),
         (
             "serve.queue_capacity".into(),
@@ -1465,9 +1365,11 @@ fn live_gauges(shared: &Arc<Shared>) -> Vec<(String, u64)> {
         ("serve.in_flight".into(), s.in_flight),
         ("serve.busy_workers".into(), s.busy_workers),
         ("serve.workers".into(), shared.config.workers.max(1) as u64),
-        ("serve.shards".into(), shared.shard_pools.len() as u64),
         ("serve.repo_generation".into(), repo.generation),
-        ("serve.repo_entries".into(), repo.detector.len() as u64),
+        (
+            "serve.repo_entries".into(),
+            repo.detector.repository().len() as u64,
+        ),
         (
             "serve.model_cache_entries".into(),
             shared.builder.len() as u64,
@@ -1478,18 +1380,7 @@ fn live_gauges(shared: &Arc<Shared>) -> Vec<(String, u64)> {
             shared.streams_active.load(Ordering::Relaxed),
         ),
         ("serve.conns_active".into(), s.conns_active),
-    ];
-    for (i, pool) in shared.shard_pools.iter().enumerate() {
-        gauges.push((
-            format!("serve.shard{i}.queue_depth"),
-            pool.queue.depth() as u64,
-        ));
-        gauges.push((
-            format!("serve.shard{i}.busy"),
-            pool.busy.load(Ordering::Relaxed),
-        ));
-    }
-    gauges
+    ]
 }
 
 fn histogram_summary(h: &Histogram) -> Json {
@@ -1588,7 +1479,7 @@ fn reload_repo(shared: &Arc<Shared>, path: Option<&str>) -> Json {
     // The threshold was validated when the server started; re-check
     // instead of unwrapping so a future config path can never panic a
     // handler thread.
-    let detector = match build_sharded(repo, &path, shared.config.threshold, shared.config.shards) {
+    let detector = match build_detector(repo, &path, shared.config.threshold) {
         Ok(d) => d,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -2256,10 +2147,6 @@ fn submit_reload(
 #[derive(Default)]
 struct Stages {
     entries: Vec<(String, u64)>,
-    /// Wall-clock spent scanning each shard (index-aligned with the
-    /// shard pools), summed over the request's programs. Rendered as the
-    /// per-shard `shards` detail when the repository is actually sharded.
-    shard_scan_ns: Vec<u64>,
 }
 
 impl Stages {
@@ -2278,9 +2165,8 @@ impl Stages {
 /// The `timings` object attached to a response when the request asked
 /// for one. The top-level `*_ns` stages sum to `total_ns` up to
 /// measurement noise; the span-derived DTW/lower-bound split (only
-/// available with telemetry on) nests under `detail`, and the per-shard
-/// scan split (only when sharded: the shard scans overlap in time)
-/// under `shards`, so neither ever skews that sum.
+/// available with telemetry on) nests under `detail`, so it never skews
+/// that sum.
 fn timings_json(total_ns: u64, stages: &Stages, detail: Option<(u64, u64)>) -> Json {
     let mut fields: Vec<(String, Json)> = vec![("total_ns".into(), Json::Num(total_ns as f64))];
     fields.extend(
@@ -2289,24 +2175,6 @@ fn timings_json(total_ns: u64, stages: &Stages, detail: Option<(u64, u64)>) -> J
             .iter()
             .map(|(k, ns)| (k.clone(), Json::Num(*ns as f64))),
     );
-    if stages.shard_scan_ns.len() > 1 {
-        fields.push((
-            "shards".into(),
-            Json::Arr(
-                stages
-                    .shard_scan_ns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ns)| {
-                        Json::Obj(vec![
-                            ("shard".into(), Json::Num(i as f64)),
-                            ("scan_ns".into(), Json::Num(*ns as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
     if let Some((lb_ns, dtw_ns)) = detail {
         fields.push((
             "detail".into(),
@@ -2457,103 +2325,6 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Drain one shard's probe queue. The thread keeps a private clone of
-/// the shard's detector, re-cloned only when the repository generation
-/// moves, so steady-state probes touch no cross-thread locks at all —
-/// this is what lets concurrent classifies scan in parallel instead of
-/// serializing on one detector's scan-state mutex.
-fn shard_loop(shared: &Arc<Shared>, shard_idx: usize) {
-    let pool = &shared.shard_pools[shard_idx];
-    let mut cache: Option<(u64, Detector)> = None;
-    while let Some(task) = pool.queue.pop() {
-        pool.busy.fetch_add(1, Ordering::Relaxed);
-        let shard = &task.repo.detector.shards()[shard_idx];
-        if cache
-            .as_ref()
-            .is_none_or(|(generation, _)| *generation != task.repo.generation)
-        {
-            cache = Some((task.repo.generation, shard.detector().clone()));
-        }
-        let (_, detector) = cache.as_ref().expect("cache was just filled");
-        let offset = shard.offset();
-        // Key the probe's engine spans to the originating request; the
-        // gatherer drains them after the scatter completes (the gather
-        // is a barrier, so every probe span lands first).
-        let trace = sca_telemetry::trace_scope(task.trace_id);
-        let start = Instant::now();
-        let result = detector
-            .scan_best(&task.target, task.deadline)
-            .map(|best| best.map(|(i, d)| (offset + i, d)));
-        drop(trace);
-        let _ = task.reply.send(ShardVerdict {
-            shard: shard_idx,
-            scan_ns: start.elapsed().as_nanos() as u64,
-            result,
-        });
-        pool.busy.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Scatter one target's scan across every shard pool, gather the
-/// per-shard winners, and merge them with the unsharded tie-break
-/// (lowest distance, then highest global index) — see
-/// [`ShardedDetector::merge`] for why the result is byte-identical to
-/// the single-detector scan.
-///
-/// Accumulates each shard's scan wall-clock into `shard_ns`. Any
-/// shard's deadline abort fails the whole scan (the others abort on
-/// their own deadline checks moments later).
-fn scatter_scan(
-    shared: &Arc<Shared>,
-    repo: &Arc<RepoState>,
-    target: &Arc<CstBbs>,
-    deadline: Option<Instant>,
-    trace_id: u64,
-    shard_ns: &mut [u64],
-) -> Result<Option<(usize, f64)>, DeadlineExceeded> {
-    let (tx, rx) = mpsc::channel();
-    for (i, pool) in shared.shard_pools.iter().enumerate() {
-        let task = ShardTask {
-            repo: Arc::clone(repo),
-            target: Arc::clone(target),
-            deadline,
-            trace_id,
-            reply: tx.clone(),
-        };
-        if let Err(task) = pool.queue.try_push(task) {
-            // Pool saturated (or closing): probe inline on this worker
-            // instead of waiting — a scatter must never block behind
-            // the very pool it is trying to feed.
-            let start = Instant::now();
-            let result = task.repo.detector.shards()[i].scan_best(&task.target, deadline);
-            let _ = task.reply.send(ShardVerdict {
-                shard: i,
-                scan_ns: start.elapsed().as_nanos() as u64,
-                result,
-            });
-        }
-    }
-    drop(tx);
-    let mut per_shard: Vec<Option<(usize, f64)>> = Vec::with_capacity(shared.shard_pools.len());
-    let mut deadline_hit = None;
-    for verdict in rx {
-        if let Some(ns) = shard_ns.get_mut(verdict.shard) {
-            *ns += verdict.scan_ns;
-        }
-        match verdict.result {
-            Ok(best) => per_shard.push(best),
-            Err(e) => deadline_hit = Some(e),
-        }
-    }
-    match deadline_hit {
-        Some(e) => Err(e),
-        // Arrival order does not matter: the merge relation is a total
-        // order on (distance, index) pairs and shard index ranges are
-        // disjoint, so the extremum is order-independent.
-        None => Ok(ShardedDetector::merge(&per_shard)),
-    }
-}
-
 /// Victim parse, assembly, and the builder's (possibly cached) CST-BBS
 /// lookup for one program — everything before the scan. Returns the
 /// model plus the stage's wall-clock cost, or the error `(kind,
@@ -2576,38 +2347,37 @@ fn build_model(
     Ok((model, start.elapsed().as_nanos() as u64))
 }
 
-/// Classify one prebuilt model through the scatter-gather path and
-/// render its detection object (byte-identical to the offline CLI's).
-#[allow(clippy::too_many_arguments)]
+/// Classify one prebuilt model on the calling worker. The caller
+/// renders the detection with [`detection_json`] in its render stage
+/// (byte-identical to the offline CLI's).
 fn classify_one(
-    shared: &Arc<Shared>,
-    repo: &Arc<RepoState>,
-    name: &str,
-    model: &Arc<CstBbs>,
+    repo: &RepoState,
+    model: &CstBbs,
     threshold: Option<f64>,
     deadline: Option<Instant>,
-    trace_id: u64,
-    shard_ns: &mut [u64],
-) -> Result<Json, (&'static str, String)> {
+) -> Result<Detection, (&'static str, String)> {
     if let Some(t) = threshold {
         if !(0.0..=1.0).contains(&t) {
             return Err((KIND_BAD_REQUEST, format!("threshold out of range: {t}")));
         }
     }
-    let merged = scatter_scan(shared, repo, model, deadline, trace_id, shard_ns).map_err(|_| {
+    let scanned = match deadline {
+        Some(d) => repo.detector.classify_model_deadline(model, d),
+        None => Ok(repo.detector.classify_model(model)),
+    };
+    let mut detection = scanned.map_err(|_| {
         (
             KIND_DEADLINE_EXCEEDED,
             "deadline passed during similarity scan".to_string(),
         )
     })?;
-    let mut detection = repo.detector.detection_from(model, merged);
     if let Some(t) = threshold {
         // The threshold gates only the verdict, never the scan: scores
         // are identical for every threshold, so a per-request override
         // is exact.
         detection.threshold = t;
     }
-    Ok(detection_json(name, &detection))
+    Ok(detection)
 }
 
 /// Run one admitted job to an answer frame, pushing each stage's
@@ -2700,22 +2470,11 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                 }
                 Err((kind, msg)) => return fail(kind, &msg),
             };
-            let mut shard_ns = vec![0u64; shared.shard_pools.len()];
             let scan_start = Instant::now();
-            let out = classify_one(
-                shared,
-                &job.repo,
-                name,
-                &model,
-                *threshold,
-                job.deadline,
-                job.trace_id,
-                &mut shard_ns,
-            );
+            let out = classify_one(&job.repo, &model, *threshold, job.deadline);
             // Record how long the scan ran even when it aborts: that is
             // exactly the number a timeout post-mortem needs.
             stages.push("scan", scan_start.elapsed().as_nanos() as u64);
-            stages.shard_scan_ns = shard_ns;
             let detection = match out {
                 Ok(d) => d,
                 Err((kind, msg)) => return fail(kind, &msg),
@@ -2723,15 +2482,14 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
             stages.time("render", || {
                 ok_frame(vec![
                     ("repo".into(), job.repo.json()),
-                    ("detection".into(), detection),
+                    ("detection".into(), detection_json(name, &detection)),
                 ])
             })
         }
         Request::ClassifyBatch { programs, .. } => {
             let mut model_ns = 0u64;
             let mut scan_ns = 0u64;
-            let mut shard_ns = vec![0u64; shared.shard_pools.len()];
-            let mut results: Vec<Json> = Vec::with_capacity(programs.len());
+            let mut outcomes = Vec::with_capacity(programs.len());
             for p in programs {
                 // The deadline covers the whole frame; once it passes,
                 // the remaining programs could only ever time out too,
@@ -2740,12 +2498,11 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                 if expired(job.deadline) {
                     stages.push("model", model_ns);
                     stages.push("scan", scan_ns);
-                    stages.shard_scan_ns = shard_ns;
                     return fail(
                         KIND_DEADLINE_EXCEEDED,
                         &format!(
                             "deadline passed after {} of {} programs",
-                            results.len(),
+                            outcomes.len(),
                             programs.len()
                         ),
                     );
@@ -2754,48 +2511,44 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
                     build_model(shared, &p.name, &p.program, &p.victim).and_then(|(model, ns)| {
                         model_ns += ns;
                         let scan_start = Instant::now();
-                        let out = classify_one(
-                            shared,
-                            &job.repo,
-                            &p.name,
-                            &model,
-                            p.threshold,
-                            job.deadline,
-                            job.trace_id,
-                            &mut shard_ns,
-                        );
+                        let out = classify_one(&job.repo, &model, p.threshold, job.deadline);
                         scan_ns += scan_start.elapsed().as_nanos() as u64;
                         out
                     });
-                match one {
-                    Ok(detection) => {
-                        results.push(Json::Obj(vec![("detection".into(), detection)]));
-                    }
-                    Err((kind, msg)) if kind == KIND_DEADLINE_EXCEEDED => {
+                match &one {
+                    Err((kind, msg)) if *kind == KIND_DEADLINE_EXCEEDED => {
                         stages.push("model", model_ns);
                         stages.push("scan", scan_ns);
-                        stages.shard_scan_ns = shard_ns;
-                        return fail(kind, &msg);
+                        return fail(kind, msg);
                     }
                     // A bad program fails alone: its siblings' results
                     // stay exact and keep their submission-order slots.
-                    Err((kind, msg)) => {
-                        sca_telemetry::counter("serve.batch_program_errors", 1);
-                        results.push(Json::Obj(vec![(
+                    Err(_) => sca_telemetry::counter("serve.batch_program_errors", 1),
+                    Ok(_) => {}
+                }
+                outcomes.push(one);
+            }
+            stages.push("model", model_ns);
+            stages.push("scan", scan_ns);
+            sca_telemetry::counter("serve.batch_programs", programs.len() as u64);
+            stages.time("render", || {
+                let results = programs
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(p, one)| match one {
+                        Ok(detection) => Json::Obj(vec![(
+                            "detection".into(),
+                            detection_json(&p.name, &detection),
+                        )]),
+                        Err((kind, msg)) => Json::Obj(vec![(
                             "error".into(),
                             Json::Obj(vec![
                                 ("kind".into(), Json::Str(kind.into())),
                                 ("message".into(), Json::Str(msg)),
                             ]),
-                        )]));
-                    }
-                }
-            }
-            stages.push("model", model_ns);
-            stages.push("scan", scan_ns);
-            stages.shard_scan_ns = shard_ns;
-            sca_telemetry::counter("serve.batch_programs", programs.len() as u64);
-            stages.time("render", || {
+                        )]),
+                    })
+                    .collect();
                 ok_frame(vec![
                     ("repo".into(), job.repo.json()),
                     ("results".into(), Json::Arr(results)),

@@ -16,7 +16,7 @@ use sca_attacks::{AttackFamily, Sample};
 use sca_serve::protocol::{
     self, error_kind, is_ok, Request, KIND_BAD_REQUEST, KIND_DEADLINE_EXCEEDED, KIND_OVERLOADED,
 };
-use sca_serve::{spawn, Client, ServeConfig};
+use sca_serve::{spawn, Client, ServeConfig, WatchOptions};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
@@ -448,8 +448,27 @@ fn stats_reports_counters_and_shutdown_joins_cleanly() {
     handle.join();
 }
 
+/// Drive a watch stream to its `done` event (bounded) and return it.
+fn watch_to_done(client: &mut Client, name: &str, src: &str) -> Json {
+    let ack = client
+        .watch_open(name, src, "shared:3", &WatchOptions::default())
+        .expect("watch open");
+    assert!(is_ok(&ack), "watch refused: {ack}");
+    let stream = ack.get("stream").and_then(Json::as_u64).expect("stream id");
+    for _ in 0..500 {
+        let events = client.watch_push(stream, 8).expect("watch push");
+        if let Some(done) = events
+            .into_iter()
+            .find(|e| e.get("event").and_then(Json::as_str) == Some("done"))
+        {
+            return done;
+        }
+    }
+    panic!("watch stream {name} never reached its done event");
+}
+
 #[test]
-fn sharded_server_detections_match_offline_at_every_shard_count() {
+fn concurrent_clients_detections_match_offline() {
     let fx = fixture();
     // The offline path, once per target: what `scaguard classify --json`
     // prints. Targets include each family's PoC and the shared fixture
@@ -473,41 +492,112 @@ fn sharded_server_detections_match_offline_at_every_shard_count() {
         })
         .collect();
 
-    for shards in [1usize, 2, 4] {
-        let mut cfg = ServeConfig::new(&fx.repo_all);
-        cfg.shards = shards;
-        let handle = spawn(cfg).expect("spawn server");
-        let mut client = Client::connect(handle.addr()).expect("connect");
-
-        let stats = client.stats().expect("stats");
-        assert_eq!(
-            stats
-                .get("stats")
-                .and_then(|s| s.get("shards"))
-                .and_then(Json::as_u64),
-            Some(shards as u64)
-        );
-        for ((name, src), want) in targets.iter().zip(&offline) {
-            let resp = client.classify(name, src, "shared:3").expect("classify");
-            assert!(is_ok(&resp), "classify failed: {resp}");
-            let wire = resp.get("detection").expect("detection").to_string();
+    // One default server; plain classifies, pipelined classify-batch
+    // frames, and a watch stream all in flight at once, every
+    // detection byte-identical to offline.
+    let handle = spawn(ServeConfig::new(&fx.repo_all)).expect("spawn server");
+    let addr = handle.addr();
+    let (targets, offline) = (&targets, &offline);
+    thread::scope(|s| {
+        for k in 0..2 {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for round in 0..3 {
+                    for ((name, src), want) in targets
+                        .iter()
+                        .zip(offline)
+                        .cycle()
+                        .skip(k)
+                        .take(targets.len())
+                    {
+                        let resp = client.classify(name, src, "shared:3").expect("classify");
+                        assert!(is_ok(&resp), "classify failed: {resp}");
+                        let wire = resp.get("detection").expect("detection").to_string();
+                        assert_eq!(
+                            want, &wire,
+                            "client {k} round {round} target={name}: wire diverged from offline"
+                        );
+                    }
+                }
+            });
+        }
+        s.spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            let batch = Request::ClassifyBatch {
+                programs: targets
+                    .iter()
+                    .map(|(name, src)| sca_serve::BatchProgram {
+                        name: name.clone(),
+                        program: src.clone(),
+                        victim: "shared:3".into(),
+                        threshold: None,
+                    })
+                    .collect(),
+                deadline_ms: None,
+                debug_sleep_ms: 0,
+            };
+            let frames = vec![batch.to_json(); 4];
+            for (f, response) in client
+                .pipeline(&frames)
+                .expect("pipeline")
+                .iter()
+                .enumerate()
+            {
+                assert!(is_ok(response), "batch frame {f} failed: {response}");
+                let Some(Json::Arr(results)) = response.get("results") else {
+                    panic!("batch frame {f} has no results: {response}");
+                };
+                assert_eq!(results.len(), targets.len());
+                for (((name, _), want), result) in targets.iter().zip(offline).zip(results) {
+                    let wire = result.get("detection").expect("detection").to_string();
+                    assert_eq!(
+                        want, &wire,
+                        "batch frame {f} target={name}: wire diverged from offline"
+                    );
+                }
+            }
+        });
+        s.spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            let (name, src) = &targets[0];
+            let done = watch_to_done(&mut client, name, src);
             assert_eq!(
-                want, &wire,
-                "shards={shards} target={name}: wire diverged from offline"
+                done.get("done"),
+                Some(&Json::Bool(true)),
+                "trace must run to its end"
+            );
+            let wire = done
+                .get("detection")
+                .expect("detection on done")
+                .to_string();
+            assert_eq!(
+                &offline[0], &wire,
+                "watch {name}: streamed detection diverged from offline"
+            );
+        });
+    });
+
+    let stats = handle.stats();
+    assert_eq!(stats.shed, 0, "{stats:?}");
+    assert_eq!(stats.panics, 0, "{stats:?}");
+    // Workers scan inline: the server runs no scan threads of its own.
+    if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+        for task in tasks.flatten() {
+            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            assert!(
+                !comm.starts_with("sca-serve-shar"),
+                "scan thread {comm:?} is running"
             );
         }
-        assert_eq!(handle.stats().shed, 0);
-        handle.shutdown();
-        handle.join();
     }
+    handle.shutdown();
+    handle.join();
 }
 
 #[test]
 fn classify_batch_returns_per_program_results_in_submission_order() {
     let fx = fixture();
-    let mut cfg = ServeConfig::new(&fx.repo_all);
-    cfg.shards = 2;
-    let handle = spawn(cfg).expect("spawn server");
+    let handle = spawn(ServeConfig::new(&fx.repo_all)).expect("spawn server");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // One attack, one benign, one per-program failure (unknown victim

@@ -54,6 +54,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 /// A span/metric attribute value.
@@ -192,10 +193,53 @@ impl Snapshot {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static STATE: Mutex<Snapshot> = Mutex::new(Snapshot::empty());
+/// While a [`collect`] runs: the first spawn-order number of threads
+/// spawned after it began (0 = no collect in progress) ...
+static COLLECT_FLOOR: AtomicU64 = AtomicU64::new(0);
+/// ... and the spawn-order number of the thread that called it. Both
+/// are written before `collect` resets the registry and read only under
+/// the registry lock, so the lock orders them.
+static COLLECT_CALLER: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static TRACE_ID: Cell<u64> = const { Cell::new(0) };
+    static THREAD_SEQ: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A thread's spawn-order number. `std` hands out `ThreadId`s from one
+/// increasing process-wide counter when a thread is spawned and renders
+/// them as `ThreadId(<n>)`; an id that does not parse counts as the
+/// newest thread.
+fn spawn_seq(id: ThreadId) -> u64 {
+    format!("{id:?}")
+        .strip_prefix("ThreadId(")
+        .and_then(|rest| rest.strip_suffix(')'))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(u64::MAX)
+}
+
+/// The current thread's [`spawn_seq`], cached per thread.
+fn thread_seq() -> u64 {
+    THREAD_SEQ.with(|seq| {
+        if seq.get() == 0 {
+            seq.set(spawn_seq(thread::current().id()));
+        }
+        seq.get()
+    })
+}
+
+/// Whether a span completing on the current thread may record. Always,
+/// unless a [`collect`] is in progress and this thread is neither its
+/// caller nor spawned after it began — such a thread is outside the
+/// collected call. Called under the registry lock.
+fn records_here() -> bool {
+    let floor = COLLECT_FLOOR.load(Ordering::Relaxed);
+    if floor == 0 {
+        return true;
+    }
+    let seq = thread_seq();
+    seq >= floor || seq == COLLECT_CALLER.load(Ordering::Relaxed)
 }
 
 fn epoch() -> Instant {
@@ -393,6 +437,9 @@ impl Drop for SpanGuard {
             }
         });
         let mut st = state();
+        if !records_here() {
+            return;
+        }
         st.histograms
             .entry(live.name.clone())
             .or_default()
@@ -427,18 +474,46 @@ pub fn reset() {
 /// result together with the snapshot collected during the call, restoring
 /// the previous enabled state afterwards.
 ///
+/// The snapshot's spans come from the calling thread and from threads
+/// spawned while `f` runs (the workers `f` starts). While the call is in
+/// progress, spans completing on threads that already existed when it
+/// began — a sibling test classifying outside any `collect`, a
+/// long-lived pool — are not recorded at all, so they can never leak
+/// into the snapshot. Counters,
+/// histograms, and gauges still merge from every thread.
+///
 /// Concurrent `collect` calls serialize on an internal lock so their
 /// snapshots never mix; prefer it in tests and experiment drivers over
 /// manual `set_enabled`/`reset` pairs.
 pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     static COLLECT_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Restores the registry when the collected call ends, even by
+    /// unwinding.
+    struct Restore {
+        was: bool,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_enabled(self.was);
+            COLLECT_FLOOR.store(0, Ordering::Relaxed);
+            reset();
+        }
+    }
+
     let _serialize = COLLECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was = enabled();
+    // Every thread spawned from here on gets a larger spawn-order number
+    // than this probe's. Without the probe, span filtering stays off.
+    let floor = thread::Builder::new().spawn(|| {}).map_or(0, |probe| {
+        let seq = spawn_seq(probe.thread().id());
+        let _ = probe.join();
+        seq
+    });
+    let _restore = Restore { was: enabled() };
+    COLLECT_CALLER.store(thread_seq(), Ordering::Relaxed);
+    COLLECT_FLOOR.store(floor, Ordering::Relaxed);
     reset();
     set_enabled(true);
     let out = f();
-    let snap = snapshot();
-    set_enabled(was);
-    reset();
-    (out, snap)
+    (out, snapshot())
 }

@@ -77,6 +77,38 @@ fn spans_on_other_threads_are_roots() {
 }
 
 #[test]
+fn spans_from_threads_outside_the_collect_stay_out() {
+    use std::sync::mpsc;
+    // A thread that exists before the collect begins and records while
+    // it runs — a sibling test classifying outside any collect — must not
+    // leak spans into the snapshot. Its counters still merge.
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let outsider = std::thread::spawn(move || {
+        go_rx.recv().expect("go");
+        {
+            let _sp = span("outsider");
+        }
+        counter("outsider.counter", 1);
+        done_tx.send(()).expect("done");
+    });
+    let ((), snap) = collect(|| {
+        let _own = span("own");
+        go_tx.send(()).expect("go");
+        done_rx.recv().expect("done");
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(span("spawned")));
+        });
+    });
+    outsider.join().expect("outsider");
+    assert_eq!(snap.spans_named("outsider").count(), 0);
+    assert!(!snap.histograms.contains_key("outsider"));
+    assert_eq!(snap.spans_named("own").count(), 1);
+    assert_eq!(snap.spans_named("spawned").count(), 1);
+    assert_eq!(snap.counters["outsider.counter"], 1);
+}
+
+#[test]
 fn disabled_registry_records_nothing() {
     let ((), snap) = collect(|| {
         set_enabled(false);

@@ -128,7 +128,7 @@ cmp -s "$OBS_DIR/rebuilt.json" "$OBS_DIR/linear.json" \
     || { echo "index smoke: missing-sidecar rebuild diverges"; exit 1; }
 
 echo "==> scale-out smoke"
-# A 4-shard server must answer a pipelined 32-program classify-batch
+# A server must answer a pipelined 32-program classify-batch
 # submission with detections byte-identical to the offline pipeline,
 # program for program, without shedding or panicking. Re-enroll the
 # variant repository first: the index smoke above deleted its sidecar.
@@ -141,13 +141,13 @@ while [ $i -lt 32 ]; do
     i=$((i + 1))
 done
 
-./target/release/scaguard serve "$OBS_DIR/vars.repo" --shards 4 --metrics \
-    > "$OBS_DIR/shards.log" 2>&1 &
+./target/release/scaguard serve "$OBS_DIR/vars.repo" --metrics \
+    > "$OBS_DIR/scale.log" 2>&1 &
 OBS_PID=$!
 ADDR=""
 i=0
 while [ $i -lt 100 ]; do
-    ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/shards.log")"
+    ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/scale.log")"
     [ -n "$ADDR" ] && break
     sleep 0.1
     i=$((i + 1))
@@ -165,14 +165,14 @@ for prog in "$OBS_DIR"/fleet/prog*.sasm; do
         --repo "$OBS_DIR/vars.repo" --json >> "$OBS_DIR/offline.json"
 done
 cmp -s "$OBS_DIR/batched.json" "$OBS_DIR/offline.json" \
-    || { echo "scale-out smoke: sharded batch diverges from offline"; exit 1; }
+    || { echo "scale-out smoke: batch diverges from offline"; exit 1; }
 
-./target/release/scaguard stats --addr "$ADDR" > "$OBS_DIR/shards-stats.txt"
+./target/release/scaguard stats --addr "$ADDR" > "$OBS_DIR/scale-stats.txt"
 awk '$1 == "serve.shed" && $2 + 0 > 0 { bad = 1 } END { exit bad }' \
-    "$OBS_DIR/shards-stats.txt" \
+    "$OBS_DIR/scale-stats.txt" \
     || { echo "scale-out smoke: requests were shed"; exit 1; }
 awk '$1 == "serve.panics" && $2 + 0 > 0 { bad = 1 } END { exit bad }' \
-    "$OBS_DIR/shards-stats.txt" \
+    "$OBS_DIR/scale-stats.txt" \
     || { echo "scale-out smoke: worker panics recorded"; exit 1; }
 
 kill "$OBS_PID" 2>/dev/null || true

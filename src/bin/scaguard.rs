@@ -72,8 +72,8 @@ fn usage() -> &'static str {
   scaguard explain <program.sasm> --repo <repo-file> [--victim ...]
       show the DTW alignment against the best-matching PoC model
   scaguard serve <repo-file> [--addr <host:port>] [--workers <n>]
-          [--shards <n>] [--queue-depth <n>] [--deadline-ms <n>]
-          [--threshold <0..1>] [--io-timeout-ms <n>] [--metrics]
+          [--queue-depth <n>] [--deadline-ms <n>] [--threshold <0..1>]
+          [--io-timeout-ms <n>] [--metrics]
           [--max-connections <n>] [--flight-capacity <n>] [--slow-ms <n>]
           [--slow-log <out.jsonl>]
       run the resident detection service on the repository: newline-
@@ -81,12 +81,9 @@ fn usage() -> &'static str {
       reload-repo, stats, metrics, flight, shutdown), bounded admission
       queue, fixed worker pool; prints `listening on <addr>` once ready
       and runs until a client sends `shutdown`; --addr defaults to
-      127.0.0.1:0 (ephemeral port); --shards splits the repository
-      across n shard-local scan pools and scatter-gathers every
-      classify across them (default 1) — detections are byte-identical
-      at any shard count; --io-timeout-ms disconnects a client that
-      stalls mid-frame or never drains responses (default 30000; 0
-      disables) — idle connections that completed a frame park free of
+      127.0.0.1:0 (ephemeral port); --io-timeout-ms disconnects a
+      client that stalls mid-frame or never drains responses (default
+      30000; 0 disables) — idle connections that completed a frame park free of
       charge and are never timed out; --max-connections caps concurrent
       connections (beyond it a peer gets one `overloaded` frame and a
       clean close; 0 or unset = unlimited); --metrics enables the
@@ -159,7 +156,6 @@ struct Options {
     timings: bool,
     watch: bool,
     interval_ms: u64,
-    shards: usize,
     batch: Option<usize>,
     metrics: bool,
     slow_ms: Option<u64>,
@@ -193,7 +189,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         timings: false,
         watch: false,
         interval_ms: 1_000,
-        shards: 1,
         batch: None,
         metrics: false,
         slow_ms: None,
@@ -301,16 +296,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("bad interval: {e}"))?;
                 if opts.interval_ms < 100 {
                     return Err("--interval-ms must be at least 100".into());
-                }
-            }
-            "--shards" => {
-                opts.shards = it
-                    .next()
-                    .ok_or("--shards needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".into());
                 }
             }
             "--batch" => {
@@ -581,7 +566,6 @@ fn cmd_serve(repo: &str, opts: &Options) -> Result<(), Box<dyn Error>> {
         config.addr = addr.clone();
     }
     config.workers = opts.workers;
-    config.shards = opts.shards;
     config.queue_depth = opts.queue_depth;
     config.deadline_ms = opts.deadline_ms;
     config.threshold = opts.threshold;
