@@ -278,30 +278,18 @@ const POOL_LIMIT: usize = 1 << 16;
 /// optionally accelerated by a [`RepoIndex`] (see [`Detector::set_index`]).
 ///
 /// A detector is `Sync` and scans concurrently without holding any lock
-/// across a scan: the repository and its prepared models are immutable
-/// (and shared by every clone, so `clone` is cheap), and each scan checks
-/// a scratch engine out of the detector's free list for its duration.
-/// The free list's lock covers only the pop and the push; a scratch keeps
-/// its warm `D_IS` cache from scan to scan.
-#[derive(Debug)]
+/// across a scan: the repository and its prepared models are immutable,
+/// and each scan checks a scratch engine out of the detector's free list
+/// for its duration. The free list's lock covers only the pop and the
+/// push; a scratch keeps its warm `D_IS` cache from scan to scan. Every
+/// clone shares both the frozen state and the free list, so `clone` is
+/// cheap and a clone's scans reuse the original's warm scratches.
+#[derive(Debug, Clone)]
 pub struct Detector {
     threshold: f64,
     index: Option<Arc<RepoIndex>>,
     frozen: Arc<Frozen>,
-    scratch: Mutex<Vec<SimilarityEngine>>,
-}
-
-impl Clone for Detector {
-    /// Shares the immutable repository state; the clone starts with an
-    /// empty scratch free list of its own.
-    fn clone(&self) -> Detector {
-        Detector {
-            threshold: self.threshold,
-            index: self.index.clone(),
-            frozen: Arc::clone(&self.frozen),
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
+    scratch: Arc<Mutex<Vec<SimilarityEngine>>>,
 }
 
 /// Map a DTW distance to the similarity score `1 / (D + 1)` — the same
@@ -393,7 +381,7 @@ impl Detector {
                 engine,
                 prepared,
             }),
-            scratch: Mutex::new(Vec::new()),
+            scratch: Arc::default(),
         })
     }
 
@@ -1268,11 +1256,14 @@ mod tests {
         let parallel = d.classify_model_jobs(&target, 3);
         assert!((1..=3).contains(&lock(&d.scratch).len()));
         assert_eq!(serial.scores, parallel.scores);
-        // A clone shares the frozen repository but not the free list.
+        // A clone shares the frozen repository and the free list: its
+        // scans reuse the original's warm scratches.
         let c = d.clone();
         assert!(Arc::ptr_eq(&c.frozen, &d.frozen));
-        assert!(lock(&c.scratch).is_empty());
+        assert!(Arc::ptr_eq(&c.scratch, &d.scratch));
+        let warm = lock(&d.scratch).len();
         assert_eq!(c.classify_model(&target).scores, serial.scores);
+        assert_eq!(lock(&d.scratch).len(), warm, "no fresh scratch cloned");
     }
 
     #[test]

@@ -224,9 +224,14 @@ const POOL_LIMIT: usize = 1 << 16;
 /// An online detection session: a [`StreamingModeler`] feeding per-prefix
 /// models into seeded repository scans, with a latched early-alarm policy
 /// (module docs).
+///
+/// A session owns a clone of its [`Detector`] (cheap: the repository is
+/// shared, and so is the scratch free list its scans draw from), so it
+/// borrows nothing and can be parked between pushes or moved across
+/// threads.
 #[derive(Debug)]
-pub struct StreamSession<'a> {
-    detector: &'a Detector,
+pub struct StreamSession {
+    detector: Detector,
     modeler: StreamingModeler,
     threshold: f64,
     sustain: u32,
@@ -236,7 +241,7 @@ pub struct StreamSession<'a> {
     /// per-cell arithmetic depends only on the models, never on which
     /// engine interned them. The repository scans themselves go through
     /// the detector's scratch free list, whose warm `D_IS` caches are
-    /// shared with every other caller of the detector.
+    /// shared with every other clone of the detector.
     engine: SimilarityEngine,
     /// The tracked previous winner: global entry index plus its rolling
     /// prefix-DTW table against the growing target.
@@ -246,9 +251,10 @@ pub struct StreamSession<'a> {
     alarm: Option<Alarm>,
 }
 
-impl<'a> StreamSession<'a> {
+impl StreamSession {
     /// Open a session for `program` against `victim`, scored against
-    /// `detector`'s repository.
+    /// `detector`'s repository. The session keeps its own clone of
+    /// `detector`.
     ///
     /// # Errors
     ///
@@ -257,16 +263,16 @@ impl<'a> StreamSession<'a> {
     /// [`StreamSession::validate_threshold`]; `begin` only debug-asserts
     /// it.
     pub fn begin(
-        detector: &'a Detector,
+        detector: &Detector,
         program: &Program,
         victim: &Victim,
         modeling: &ModelingConfig,
         cfg: &StreamConfig,
-    ) -> Result<StreamSession<'a>, ModelError> {
+    ) -> Result<StreamSession, ModelError> {
         debug_assert!(Self::validate_threshold(cfg).is_ok());
         let modeler = StreamingModeler::begin(program, victim, modeling)?;
         Ok(StreamSession {
-            detector,
+            detector: detector.clone(),
             modeler,
             threshold: cfg.threshold,
             sustain: cfg.sustain.max(1),
@@ -324,12 +330,12 @@ impl<'a> StreamSession<'a> {
         let mut fired = None;
         if self.alarm.is_none() && self.streak >= self.sustain {
             if let Some((i, s)) = score {
-                let entry = self.entry(i);
+                let matched = entry(&self.detector, i);
                 let alarm = Alarm {
                     at_step: self.modeler.steps(),
                     at_increment: self.increments,
-                    family: entry.family,
-                    poc: entry.name.clone(),
+                    family: matched.family,
+                    poc: matched.name.clone(),
                     score: s,
                 };
                 self.alarm = Some(alarm.clone());
@@ -341,8 +347,8 @@ impl<'a> StreamSession<'a> {
             committed,
             steps: self.modeler.steps(),
             best: score,
-            best_poc: score.map(|(i, _)| self.entry(i).name.clone()),
-            best_family: score.map(|(i, _)| self.entry(i).family),
+            best_poc: score.map(|(i, _)| entry(&self.detector, i).name.clone()),
+            best_family: score.map(|(i, _)| entry(&self.detector, i).family),
             fired,
             done: self.modeler.is_done(),
         })
@@ -369,7 +375,7 @@ impl<'a> StreamSession<'a> {
         if self.engine.pool_len() > POOL_LIMIT {
             self.engine = SimilarityEngine::new();
             if let Some((i, _)) = self.tracked {
-                let prepared = self.engine.prepare(&self.entry(i).model);
+                let prepared = self.engine.prepare(&entry(&self.detector, i).model);
                 self.tracked = Some((i, PrefixDtw::new(&prepared)));
             }
         }
@@ -385,15 +391,10 @@ impl<'a> StreamSession<'a> {
                 // New winner: start a fresh rolling table. It has not
                 // seen the current prefix yet — the next increment's
                 // seed pays one full recompute, then extends again.
-                let prepared = self.engine.prepare(&self.entry(bi).model);
+                let prepared = self.engine.prepare(&entry(&self.detector, bi).model);
                 self.tracked = Some((bi, PrefixDtw::new(&prepared)));
             }
         }
-    }
-
-    /// The repository entry at index `i`.
-    fn entry(&self, i: usize) -> &'a RepoEntry {
-        &self.detector.repository().entries()[i]
     }
 
     /// The alarm, if one has fired. Latched: never `Some` then `None`.
@@ -430,6 +431,12 @@ impl<'a> StreamSession<'a> {
     pub fn modeler(&self) -> &StreamingModeler {
         &self.modeler
     }
+}
+
+/// The repository entry at index `i`. A free function, so a session can
+/// read its detector while its engine is borrowed mutably.
+fn entry(detector: &Detector, i: usize) -> &RepoEntry {
+    &detector.repository().entries()[i]
 }
 
 #[cfg(test)]

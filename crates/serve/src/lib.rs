@@ -43,9 +43,12 @@
 //! `progress`/`alarm`/`done` events as the streaming scorer
 //! ([`scaguard::StreamSession`]) sees each committed prefix — an alarm
 //! can fire long before the trace ends, and it is never retracted.
-//! Streams run on dedicated threads outside the worker pool, are
-//! accounted in the flight recorder (one `watch` summary per stream)
-//! and the `serve.streams_active` gauge, and die with their connection.
+//! A stream is per-connection state, not a thread: each `watch-push` /
+//! `watch-finish` runs as an ordered job on the same worker pool as
+//! classify (as does `reload-repo`), so the reactor and the workers are
+//! the server's only threads. Streams are accounted in the flight
+//! recorder (one `watch` summary per stream) and the
+//! `serve.streams_active` gauge, and die with their connection.
 //!
 //! Every response frame carries a `trace_id` (see
 //! [`protocol::trace_id`]); requests flagged with `"timings": true` on

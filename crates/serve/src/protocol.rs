@@ -51,9 +51,13 @@
 //! on `{"cmd":"watch-finish","stream":N}`). Every event carries the
 //! triggering frame's `trace_id` (and `id`, when tagged), names its
 //! `stream`, and the final event of each push is marked `"last":true`
-//! so a client knows when to stop reading. Streams are per-connection:
-//! a stream id is only routable on the connection that opened it, and
-//! tearing the connection down tears its streams down with it.
+//! so a client knows when to stop reading. Watch commands are ordered,
+//! tagged or not: the connection answers nothing else until the
+//! command's `last` event, and a full admission queue sheds a command
+//! with an `overloaded` event (the stream stays open). Streams are
+//! per-connection: a stream id is only routable on the connection that
+//! opened it, and tearing the connection down tears its streams down
+//! with it.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};

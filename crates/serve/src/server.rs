@@ -11,38 +11,49 @@
 //!
 //! ```text
 //! reactor (one thread: nonblocking accept + reads + writes, timed sweeps)
-//!    │  control frames (ping/stats/metrics/flight/shutdown): inline
-//!    │  watch frames: routed to the stream's dedicated thread
-//!    │  reload-repo: transient thread (connection paused meanwhile)
-//!    │  work frames (classify/classify-batch/model): queue
+//!    │  control frames (ping/stats/metrics/flight/shutdown) and
+//!    │  `watch` opens: answered inline
+//!    │  work frames (classify/classify-batch/model), watch-push,
+//!    │  watch-finish, reload-repo: admitted as jobs
 //!    ▼
-//! BoundedQueue ──> worker pool ──> reply ──> conn outbox ──> reactor
-//!                     │ scan inline
-//!                     ▼
+//! BoundedQueue ──> worker pool ──> frames ──> conn outbox ──> reactor
+//!                     │ scan inline          (an ordered job lifts its
+//!                     ▼                       connection's pause last)
 //!      shared Detector: frozen repository + scratch-engine free list
 //! ```
 //!
+//! - **One execution model**: the reactor and the fixed worker pool are
+//!   the only threads. Everything slow — a classify, one push of a watch
+//!   stream, a repository reload — is a job on the one bounded queue, so
+//!   it is admitted, shed, and panic-isolated the same way.
 //! - **Event-driven connections**: there is no thread per connection.
 //!   One reactor thread owns the nonblocking listener and every
 //!   accepted socket, sweeping them on a short timer (plus a condvar
-//!   wake whenever a producer enqueues output): each sweep accepts
+//!   wake whenever a worker enqueues output): each sweep accepts
 //!   pending peers, drains each connection's [`Outbox`] into its
 //!   socket, feeds whatever bytes are readable into a per-connection
 //!   [`FrameAssembler`], and dispatches the complete frames. An idle
 //!   connection is just a registry entry — a socket, an empty
 //!   assembler, an empty outbox — so thousands of parked watchers cost
 //!   file descriptors, not threads or stacks.
+//! - **Streams are state, not threads**: a `watch` stream is a
+//!   [`StreamSession`] parked in its connection's stream map between
+//!   pushes. A `watch-push` or `watch-finish` moves onto a worker as a
+//!   job, which pushes the command's events and ends its stream when the
+//!   trace completes, the client finishes it, or it panics.
 //! - **Write-path ownership**: the reactor is the only thing that ever
-//!   writes a socket. Workers, stream threads, and the reload thread
-//!   push whole rendered frames into the connection's outbox (one lock,
-//!   one append), which is what keeps out-of-order completions from
-//!   interleaving bytes mid-frame — the invariant the old per-
-//!   connection writer thread provided, now without the thread.
-//! - **Ordering without blocking**: untagged requests keep one-in-one-
-//!   out ordering by *pausing* the connection — the reactor stops
-//!   reading and parsing it until the worker has pushed the reply —
-//!   so backpressure is TCP's, not an unbounded buffer's. Requests
-//!   tagged with an envelope `id` are pipelined exactly as before:
+//!   writes a socket. Workers push whole rendered frames into the
+//!   connection's outbox (one lock, one append), which is what keeps
+//!   out-of-order completions from interleaving bytes mid-frame — the
+//!   invariant the old per-connection writer thread provided, now
+//!   without the thread.
+//! - **Ordering without blocking**: untagged work requests, every watch
+//!   command, and `reload-repo` keep one-in-one-out ordering by
+//!   *pausing* the connection — the reactor stops reading and parsing it
+//!   until the worker has pushed the job's last frame — so backpressure
+//!   is TCP's, not an unbounded buffer's. That pause is also what orders
+//!   a stream's pushes and makes a push behind `done` find the stream
+//!   closed. Work requests tagged with an envelope `id` are pipelined:
 //!   admitted without pausing, answered out of order.
 //! - **Timeout split**: the per-connection io-timeout now distinguishes
 //!   a *stalled* peer from a *parked* one. A connection mid-frame (or
@@ -63,15 +74,16 @@
 //!   generation's shared [`Detector`]. The repository and its prepared
 //!   models are immutable; each scan checks a scratch similarity engine
 //!   out of the detector's free list (a lock held for the pop and the
-//!   push only), so concurrent workers and watch streams scan in
-//!   parallel and keep their warm `D_IS` caches from request to request.
+//!   push only, and shared with every clone a stream session holds), so
+//!   concurrent jobs scan in parallel and keep their warm `D_IS` caches
+//!   from request to request.
 //! - **Deadline propagation**: a request deadline (per-request
 //!   `deadline_ms` or the server default) is fixed at admission and
 //!   propagated into the engine's bounded-DTW hook, so an expired
 //!   request aborts mid-scan. The deadline only ever aborts — a
 //!   detection that comes back is bitwise identical to the offline one.
-//! - **Hot reload**: `reload-repo` builds the new [`Detector`] off to
-//!   the side and swaps it in atomically (an `Arc` swap under a brief
+//! - **Hot reload**: `reload-repo` builds the new [`Detector`] on a
+//!   worker and swaps it in atomically (an `Arc` swap under a brief
 //!   mutex). Workers snapshot the `Arc` at admission, so every response
 //!   is computed against exactly one repository generation and in-flight
 //!   work is never drained or mixed.
@@ -96,11 +108,10 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use sca_cpu::Victim;
 use sca_telemetry::{
     request_json, span_json, AttrValue, FlightRecorder, Histogram, Json, Outcome, RequestSummary,
     SpanRecord,
@@ -109,7 +120,7 @@ use scaguard::persist::LoadRepoError;
 use scaguard::{
     detection_json, index_sidecar_path, load_index, load_repository, model_text, Alarm, CstBbs,
     DeadlineExceeded, Detection, Detector, InvalidThreshold, ModelBuilder, ModelRepository,
-    ModelingConfig, StreamConfig, StreamSession, StreamUpdate, StreamingModeler,
+    ModelingConfig, StreamConfig, StreamSession, StreamUpdate,
 };
 
 use crate::protocol::{
@@ -284,7 +295,6 @@ struct Counters {
     timeouts: AtomicU64,
     accept_errors: AtomicU64,
     conns_rejected: AtomicU64,
-    spawn_errors: AtomicU64,
 }
 
 /// A point-in-time copy of the server counters.
@@ -294,7 +304,8 @@ pub struct StatsSnapshot {
     pub received: u64,
     /// Work requests answered with a detection or model.
     pub completed: u64,
-    /// Work requests shed because the admission queue was full.
+    /// Jobs shed because the admission queue was full: work requests,
+    /// watch commands and reloads alike.
     pub shed: u64,
     /// Work requests that ran out of deadline (before or during the scan).
     pub deadline_exceeded: u64,
@@ -316,10 +327,6 @@ pub struct StatsSnapshot {
     /// Connections refused at the [`ServeConfig::max_connections`] cap
     /// with a structured `overloaded` frame and a clean close.
     pub conns_rejected: u64,
-    /// Thread-spawn failures surfaced as structured `internal_error`
-    /// responses (stream threads, the reload thread) instead of being
-    /// silently swallowed.
-    pub spawn_errors: u64,
     /// Gauge: work requests admitted but not yet answered (queued or on
     /// a worker).
     pub in_flight: u64,
@@ -330,9 +337,9 @@ pub struct StatsSnapshot {
 }
 
 /// The reactor's doorbell. The reactor sleeps between sweeps on this
-/// condvar; any producer with fresh output (a worker reply, a stream
-/// event, the reload thread, shutdown) rings it so flushing never waits
-/// for the next timed sweep. Socket *input* is not signalled — inbound
+/// condvar; a worker with fresh output (a reply, a stream event, a
+/// lifted pause) and shutdown ring it so flushing never waits for the
+/// next timed sweep. Socket *input* is not signalled — inbound
 /// bytes are picked up by the timed sweep itself, which bounds the cost
 /// of thousands of idle connections to one nonblocking read each per
 /// sweep.
@@ -344,14 +351,14 @@ struct ReactorWake {
 
 impl ReactorWake {
     fn notify(&self) {
-        let mut rung = self.rung.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rung = lock(&self.rung);
         *rung = true;
         self.bell.notify_one();
     }
 
     /// Sleep until rung, at most `timeout`; consumes the ring.
     fn wait(&self, timeout: Duration) {
-        let mut rung = self.rung.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rung = lock(&self.rung);
         if !*rung {
             let (guard, _) = self
                 .bell
@@ -364,19 +371,18 @@ impl ReactorWake {
 }
 
 /// The slice of one connection's state shared outside the reactor.
-/// Workers, stream threads, and the transient reload thread hold an
-/// `Arc` to it and push rendered reply frames into the outbox; the
-/// reactor — sole owner of the socket — drains it. The reactor also
+/// Jobs hold an `Arc` to it and push rendered frames into the outbox;
+/// the reactor — sole owner of the socket — drains it. The reactor also
 /// uses the `Arc`'s strong count as the liveness signal for a
 /// half-closed connection: once it holds the only reference and the
 /// outbox is dry, no late reply can ever arrive and the socket can
 /// close.
 struct ConnShared {
     outbox: Outbox,
-    /// True while an ordered (untagged) request or reload is in flight:
-    /// the reactor neither reads the socket nor parses buffered frames
-    /// until the producer pushes the reply and lifts the pause — the
-    /// blocking path's one-in-one-out ordering, with TCP backpressure
+    /// True while an ordered job (untagged work, a watch command, a
+    /// reload) is admitted: the reactor neither reads the socket nor
+    /// parses buffered frames until the job's last frame is pushed and
+    /// the pause lifted — one-in-one-out ordering, with TCP backpressure
     /// instead of a blocked reader thread.
     paused: AtomicBool,
     wake: Arc<ReactorWake>,
@@ -391,58 +397,140 @@ impl ConnShared {
         }
     }
 
-    /// Render `frame` and enqueue it for the reactor to write. A closed
-    /// outbox (dead connection) makes this a no-op — a worker finishing
-    /// after its peer hung up answers nowhere, exactly like the old
-    /// dropped writer channel.
-    fn push(&self, frame: Json) {
+    /// Render `frame` and enqueue it for the reactor to write. Returns
+    /// whether the outbox is still open: a closed one (dead connection)
+    /// drops the frame, so a job finishing after its peer hung up
+    /// answers nowhere — and a watch push stops computing for it.
+    fn push(&self, frame: Json) -> bool {
         let mut line = frame.to_string();
         line.push('\n');
-        if self.outbox.push(line.as_bytes()) {
+        let open = self.outbox.push(line.as_bytes());
+        if open {
             self.wake.notify();
         }
+        open
     }
 
-    /// Push a reply and lift the connection's pause, in that order —
-    /// the reply must be in the outbox before the reactor may parse
-    /// (and answer) the connection's next frame.
-    fn push_and_unpause(&self, frame: Json) {
-        self.push(frame);
+    fn unpause(&self) {
         self.paused.store(false, Ordering::Release);
         self.wake.notify();
     }
 }
 
-/// Where a worker's answer goes: into the connection's outbox, drained
-/// by the reactor. `Ordered` answers an untagged request — the reactor
-/// paused the connection at admission and the worker lifts the pause
-/// only after the decorated reply is enqueued. `Pipelined` answers a
-/// tagged request: the worker decorates the frame (trace id + echoed
-/// `id`) and the response may overtake other in-flight work.
-enum Reply {
-    Ordered { conn: Arc<ConnShared> },
-    Pipelined { conn: Arc<ConnShared>, id: Json },
+/// `frame` with its trace id and, for a tagged request, the echoed
+/// envelope `id`.
+fn decorate(frame: Json, trace: u64, id: Option<&Json>) -> Json {
+    let frame = with_trace_id(frame, trace);
+    match id {
+        Some(id) => with_request_id(frame, id),
+        None => frame,
+    }
 }
 
-/// One admitted unit of work. The `repo` snapshot is taken at admission:
+/// Where a job's frames go: the connection's outbox, each frame
+/// decorated with the triggering frame's trace id and echoed `id`.
+///
+/// An *ordered* reply pauses its connection when created and lifts the
+/// pause when dropped — after the job's last frame, whichever way the
+/// job ended (answered, refused at admission, or panicked). Untagged
+/// work, watch commands and reloads are ordered; tagged work is
+/// pipelined and may overtake other in-flight work.
+struct Reply {
+    conn: Arc<ConnShared>,
+    trace: u64,
+    id: Option<Json>,
+    ordered: bool,
+}
+
+impl Reply {
+    fn new(conn: &Arc<ConnShared>, trace: u64, id: Option<Json>, ordered: bool) -> Reply {
+        if ordered {
+            conn.paused.store(true, Ordering::Release);
+        }
+        Reply {
+            conn: Arc::clone(conn),
+            trace,
+            id,
+            ordered,
+        }
+    }
+
+    /// Decorate and push one frame; `false` once the peer is gone.
+    fn send(&self, frame: Json) -> bool {
+        self.conn
+            .push(decorate(frame, self.trace, self.id.as_ref()))
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if self.ordered {
+            self.conn.unpause();
+        }
+    }
+}
+
+/// One admitted job: what to run and where its frames go.
+struct Job {
+    task: Task,
+    reply: Reply,
+}
+
+enum Task {
+    /// classify, classify-batch or model.
+    Work(Work),
+    /// `watch-push`: commit up to `increments` increments of a stream.
+    WatchPush {
+        slot: Arc<WatchSlot>,
+        increments: u64,
+    },
+    /// `watch-finish`: the stream's final `done` event.
+    WatchFinish { slot: Arc<WatchSlot> },
+    /// `reload-repo`, optionally from another path.
+    Reload { path: Option<String> },
+}
+
+impl Task {
+    /// The error frame refusing this task at admission. A stream command
+    /// is refused with a stream event, so a client reading to `last`
+    /// stops there.
+    fn refusal(&self, kind: &str, message: &str) -> Json {
+        match self {
+            Task::WatchPush { slot, .. } | Task::WatchFinish { slot } => {
+                error_event(slot.id, kind, message)
+            }
+            Task::Work(_) | Task::Reload { .. } => error_frame(kind, message),
+        }
+    }
+}
+
+/// One admitted work request. The `repo` snapshot is taken at admission:
 /// whatever generation was live when the request was accepted is the
 /// generation that answers it, regardless of concurrent reloads.
-struct Job {
+struct Work {
     request: Request,
     repo: Arc<RepoState>,
     deadline: Option<Instant>,
     enqueued: Instant,
-    reply: Reply,
-    /// Server-unique id assigned to the frame at read time.
-    trace_id: u64,
     /// Whether the response should carry the stage-timing breakdown.
     wants_timings: bool,
 }
 
-impl Job {
-    /// The request kind, as recorded in the flight ring.
-    fn kind(&self) -> &'static str {
-        request_kind(&self.request)
+impl Work {
+    fn new(shared: &Shared, request: Request, wants_timings: bool) -> Work {
+        let deadline_ms = match &request {
+            Request::Classify { deadline_ms, .. }
+            | Request::ClassifyBatch { deadline_ms, .. }
+            | Request::Model { deadline_ms, .. } => deadline_ms.or(shared.config.deadline_ms),
+            _ => None,
+        };
+        Work {
+            request,
+            repo: shared.repo_snapshot(),
+            deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
+            enqueued: Instant::now(),
+            wants_timings,
+        }
     }
 }
 
@@ -478,8 +566,9 @@ struct Shared {
     in_flight: AtomicU64,
     /// Workers currently executing a job.
     busy_workers: AtomicU64,
-    /// Open watch streams across all connections (each runs on its own
-    /// dedicated thread, outside the worker pool).
+    /// Open watch streams across all connections: sessions parked in
+    /// their connections' stream maps or running one command on a
+    /// worker.
     streams_active: AtomicU64,
     /// Connections currently registered with the reactor.
     conns_active: AtomicU64,
@@ -496,7 +585,7 @@ struct Shared {
 
 impl Shared {
     fn repo_snapshot(&self) -> Arc<RepoState> {
-        Arc::clone(&self.repo.lock().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&lock(&self.repo))
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -511,7 +600,6 @@ impl Shared {
             timeouts: self.counters.timeouts.load(Ordering::Relaxed),
             accept_errors: self.counters.accept_errors.load(Ordering::Relaxed),
             conns_rejected: self.counters.conns_rejected.load(Ordering::Relaxed),
-            spawn_errors: self.counters.spawn_errors.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             busy_workers: self.busy_workers.load(Ordering::Relaxed),
             conns_active: self.conns_active.load(Ordering::Relaxed),
@@ -528,7 +616,7 @@ impl Shared {
             out.push_str(&span_json(s).to_string());
             out.push('\n');
         }
-        let mut f = file.lock().unwrap_or_else(|e| e.into_inner());
+        let mut f = lock(file);
         let _ = f.write_all(out.as_bytes());
         let _ = f.flush();
     }
@@ -761,12 +849,12 @@ struct Conn {
     stream: TcpStream,
     shared: Arc<ConnShared>,
     assembler: FrameAssembler,
-    /// Open watch streams on this connection, keyed by stream id (the
+    /// Watch streams on this connection, keyed by stream id (the
     /// `watch` frame's trace id). A stream id is only routable on the
-    /// connection that opened it; dropping the map drops the last
-    /// command sender of every stream — each stream thread winds down
-    /// on its own.
-    watches: HashMap<u64, mpsc::Sender<WatchCmd>>,
+    /// connection that opened it. A slot stays here until a command
+    /// finds it ended, the next `watch` prunes it, or the connection
+    /// goes; dropping the last reference to a slot ends its stream.
+    watches: HashMap<u64, Arc<WatchSlot>>,
     /// When the last byte arrived (connect time until then).
     last_read: Instant,
     /// Set while outbound bytes are pending and writes make no
@@ -1021,8 +1109,8 @@ fn sweep_conn(
         }
     } else {
         // 4. Read whatever is available, unless the connection is
-        // paused (an ordered request or reload in flight: ordering is
-        // preserved by TCP backpressure, not server-side buffering).
+        // paused (an ordered job in flight: ordering is preserved by
+        // TCP backpressure, not server-side buffering).
         let paused = conn.shared.paused.load(Ordering::Acquire) || conn.shutdown_after_flush;
         if !paused && !conn.eof {
             loop {
@@ -1080,10 +1168,10 @@ fn sweep_conn(
             }
         }
         // 6. EOF wind-down. Once the assembler is drained no further
-        // frame can arrive: drop the watch senders (each stream thread
-        // winds down on its own), and close when the outbox is dry and
-        // no worker/stream/reload still holds the connection — their
-        // late replies must still be written first.
+        // frame can arrive: drop the watch slots (a stream still
+        // running a command ends when its job does), and close when the
+        // outbox is dry and no job still holds the connection — its
+        // late frames must still be written first.
         if conn.eof && conn.assembler.is_drained() {
             if !conn.watches.is_empty() {
                 conn.watches.clear();
@@ -1117,8 +1205,9 @@ fn sweep_conn(
 }
 
 /// Deregister a connection: count it if it died to the stall timeout,
-/// close its outbox so late producers become no-ops, and drop the
-/// socket and watch senders.
+/// close its outbox so late producers become no-ops (and a running watch
+/// push stops at its next increment), and drop the socket and watch
+/// slots.
 fn close_conn(shared: &Arc<Shared>, conn: Conn, reason: &CloseReason) {
     if matches!(reason, CloseReason::Timeout) {
         shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -1177,26 +1266,21 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, line: &str) {
     };
     let id = request_id(&parsed);
     let wants_timings = request_wants_timings(&parsed);
-    let (response, id) = match Request::from_json(&parsed) {
-        Err(e) => (Some(error_frame(KIND_BAD_REQUEST, &e)), id),
+    // Either an inline answer, or a task to admit plus whether it pauses
+    // the connection.
+    let routed = match Request::from_json(&parsed) {
+        Err(e) => Err(error_frame(KIND_BAD_REQUEST, &e)),
         // Acknowledge shutdown *before* initiating it: once the worker
         // pool unwinds the whole process may exit (CLI `serve`), and
         // the ack must not race that exit — so `begin_shutdown` waits
         // until the sweep sees the ack flushed.
         Ok(Request::Shutdown) => {
-            let mut frame =
-                with_trace_id(ok_frame(vec![("stopping".into(), Json::Bool(true))]), trace);
-            if let Some(id) = &id {
-                frame = with_request_id(frame, id);
-            }
-            conn.shared.push(frame);
             conn.shutdown_after_flush = true;
-            (None, None)
+            Err(ok_frame(vec![("stopping".into(), Json::Bool(true))]))
         }
-        // Watch streams are per-connection state, so the three stream
-        // commands are routed here. Pushed events flow from the stream
-        // thread straight into the outbox; only the open ack (and
-        // routing failures) answer inline.
+        // Watch streams are per-connection state. Opening one answers
+        // inline; its commands are ordered jobs, so a stream's pushes
+        // run one at a time and in order.
         Ok(Request::Watch {
             name,
             program,
@@ -1215,73 +1299,35 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, line: &str) {
                 sustain,
                 deadline_ms,
             };
-            (
-                Some(start_watch(
-                    shared,
-                    &conn.shared,
-                    &mut conn.watches,
-                    trace,
-                    open,
-                )),
-                id,
-            )
+            Err(start_watch(shared, &mut conn.watches, trace, open))
         }
-        Ok(Request::WatchPush { stream, increments }) => {
-            let cmd = WatchCmd::Push {
-                increments,
-                trace,
-                id: id.clone(),
-            };
-            (route_watch_cmd(&mut conn.watches, stream, cmd), id)
-        }
+        Ok(Request::WatchPush { stream, increments }) => live_slot(&mut conn.watches, stream)
+            .map(|slot| (Task::WatchPush { slot, increments }, true)),
         Ok(Request::WatchFinish { stream }) => {
-            let cmd = WatchCmd::Finish {
-                trace,
-                id: id.clone(),
-            };
-            let response = route_watch_cmd(&mut conn.watches, stream, cmd);
-            // Finish closes the stream either way: a successfully
-            // routed finish ends the thread, and a routing failure
-            // means it is already gone.
-            conn.watches.remove(&stream);
-            (response, id)
+            live_slot(&mut conn.watches, stream).map(|slot| (Task::WatchFinish { slot }, true))
         }
-        // Reload rebuilds a whole detector — far too slow for the
-        // reactor thread. It runs on a transient thread with the
-        // connection paused, preserving the old inline ordering.
-        Ok(Request::ReloadRepo { path }) => {
-            submit_reload(shared, &conn.shared, trace, id, path);
-            (None, None)
-        }
-        // Tagged work is pipelined: admitted without pausing, answered
+        Ok(Request::ReloadRepo { path }) => Ok((Task::Reload { path }, true)),
+        // Untagged work keeps one-in-one-out ordering by pausing the
+        // connection until the worker's reply is in the outbox; tagged
+        // work is pipelined: admitted without pausing, answered
         // whenever it completes, possibly out of order.
         Ok(
             work @ (Request::Classify { .. }
             | Request::ClassifyBatch { .. }
             | Request::Model { .. }),
-        ) if id.is_some() => {
-            let id = id.expect("guarded by is_some");
-            submit_pipelined(work, shared, trace, wants_timings, id, &conn.shared);
-            (None, None)
-        }
-        // Untagged work keeps one-in-one-out ordering by pausing the
-        // connection until the worker's reply is in the outbox.
-        Ok(
-            work @ (Request::Classify { .. }
-            | Request::ClassifyBatch { .. }
-            | Request::Model { .. }),
-        ) => {
-            submit_ordered(work, shared, trace, wants_timings, &conn.shared);
-            (None, None)
-        }
-        Ok(req) => (Some(dispatch(req, shared)), id),
+        ) => Ok((
+            Task::Work(Work::new(shared, work, wants_timings)),
+            id.is_none(),
+        )),
+        Ok(req) => Err(dispatch(req, shared)),
     };
-    if let Some(frame) = response {
-        let mut frame = with_trace_id(frame, trace);
-        if let Some(id) = &id {
-            frame = with_request_id(frame, id);
+    match routed {
+        Ok((task, pause)) => {
+            admit(shared, task, Reply::new(&conn.shared, trace, id, pause));
         }
-        conn.shared.push(frame);
+        Err(frame) => {
+            conn.shared.push(decorate(frame, trace, id.as_ref()));
+        }
     }
 }
 
@@ -1324,7 +1370,6 @@ fn stats_frame(shared: &Arc<Shared>) -> Json {
                 ("timeouts".into(), num(s.timeouts)),
                 ("accept_errors".into(), num(s.accept_errors)),
                 ("conns_rejected".into(), num(s.conns_rejected)),
-                ("spawn_errors".into(), num(s.spawn_errors)),
                 ("conns_active".into(), num(s.conns_active)),
                 ("queue_depth".into(), num(shared.queue.depth() as u64)),
                 ("queue_capacity".into(), num(shared.queue.capacity() as u64)),
@@ -1486,7 +1531,7 @@ fn reload_repo(shared: &Arc<Shared>, path: Option<&str>) -> Json {
             return error_frame(KIND_RELOAD_FAILED, &e.to_string());
         }
     };
-    let mut slot = shared.repo.lock().unwrap_or_else(|e| e.into_inner());
+    let mut slot = lock(&shared.repo);
     let next = Arc::new(RepoState {
         generation: slot.generation + 1,
         path,
@@ -1511,42 +1556,13 @@ struct WatchOpen {
     deadline_ms: Option<u64>,
 }
 
-/// One command routed from the connection handler to a watch stream's
-/// dedicated thread. Each carries the triggering frame's trace id and
-/// echoed envelope `id`, so every pushed event can be attributed to the
-/// frame that caused it.
-enum WatchCmd {
-    /// Commit `increments` whole increments, emitting one `progress`
-    /// event per increment (plus `alarm`/`done` as they happen).
-    Push {
-        increments: u64,
-        trace: u64,
-        id: Option<Json>,
-    },
-    /// Close the stream: emit the final `done` event with the current
-    /// prefix's detection, then exit.
-    Finish { trace: u64, id: Option<Json> },
-}
-
-/// How a watch stream ended, for its one flight-recorder entry.
-struct StreamEnd {
-    outcome: Outcome,
-    verdict: Option<String>,
-    increments: u64,
-    alarms: u64,
-}
-
 /// Open a watch stream: validate the inputs inline (victim spec,
-/// assembly, threshold — all answered synchronously as `bad_request` /
-/// `model_error`), snapshot the repository generation, and hand the
-/// session to a dedicated detached thread. Streams deliberately run
-/// *outside* the worker pool: a stream lives as long as its client
-/// keeps pushing, and parking it on a worker would let a handful of
-/// idle watchers starve classify traffic.
+/// assembly, threshold, an empty program — all answered synchronously as
+/// `bad_request` / `model_error`), snapshot the repository generation,
+/// and park the session in a new slot of the connection's stream map.
 fn start_watch(
     shared: &Arc<Shared>,
-    out: &Arc<ConnShared>,
-    watches: &mut HashMap<u64, mpsc::Sender<WatchCmd>>,
+    watches: &mut HashMap<u64, Arc<WatchSlot>>,
     stream_id: u64,
     open: WatchOpen,
 ) -> Json {
@@ -1574,38 +1590,41 @@ fn start_watch(
     if let Err(e) = StreamSession::validate_threshold(&cfg) {
         return error_frame(KIND_BAD_REQUEST, &e.to_string());
     }
-    let modeling = ModelingConfig::default();
-    // Fail empty programs at the ack, not as a first pushed event — the
-    // rejection is the same one batch modeling gives.
-    if let Err(e) = StreamingModeler::begin(&program, &victim, &modeling) {
-        return error_frame(KIND_MODEL_ERROR, &e.to_string());
-    }
     // Like work admission, the repository generation is fixed when the
     // stream opens: every increment of one stream scores against
     // exactly one generation, regardless of concurrent reloads.
     let repo = shared.repo_snapshot();
-    let (cmd_tx, cmd_rx) = mpsc::channel();
-    let stream = WatchStream {
-        shared: Arc::clone(shared),
-        repo: Arc::clone(&repo),
-        out: Arc::clone(out),
-        stream_id,
-        program,
-        victim,
-        modeling,
-        cfg: cfg.clone(),
-        deadline_ms: open.deadline_ms.or(shared.config.deadline_ms),
+    let session = match StreamSession::begin(
+        &repo.detector,
+        &program,
+        &victim,
+        &ModelingConfig::default(),
+        &cfg,
+    ) {
+        Ok(s) => s,
+        Err(e) => return error_frame(KIND_MODEL_ERROR, &e.to_string()),
     };
-    if thread::Builder::new()
-        .name(format!("sca-serve-stream-{stream_id}"))
-        .spawn(move || stream.run(cmd_rx))
-        .is_err()
-    {
-        shared.counters.spawn_errors.fetch_add(1, Ordering::Relaxed);
-        sca_telemetry::counter("serve.spawn_errors", 1);
-        return error_frame(KIND_INTERNAL_ERROR, "cannot spawn a stream thread");
-    }
-    watches.insert(stream_id, cmd_tx);
+    // Forget streams that ended since the last open, so a long-lived
+    // connection's map holds its live streams and little else.
+    watches.retain(|_, slot| !slot.ended());
+    shared.streams_active.fetch_add(1, Ordering::Relaxed);
+    let stream = LiveStream {
+        shared: Arc::clone(shared),
+        session,
+        id: stream_id,
+        name: program.name().to_string(),
+        deadline_ms: open.deadline_ms.or(shared.config.deadline_ms),
+        started: Instant::now(),
+        outcome: Outcome::Error,
+        verdict: None,
+    };
+    watches.insert(
+        stream_id,
+        Arc::new(WatchSlot {
+            id: stream_id,
+            live: Mutex::new(Some(stream)),
+        }),
+    );
     sca_telemetry::counter("serve.streams_opened", 1);
     ok_frame(vec![
         ("event".into(), Json::Str("watching".into())),
@@ -1617,215 +1636,129 @@ fn start_watch(
     ])
 }
 
-/// Route one command to an open stream on this connection. `None` means
-/// it was routed (the stream thread answers with events); `Some` is the
-/// inline error frame for an unknown or already-closed stream.
-fn route_watch_cmd(
-    watches: &mut HashMap<u64, mpsc::Sender<WatchCmd>>,
+/// The open stream `stream` on this connection, or the inline error
+/// frame for an unknown or ended one (an ended slot is forgotten here).
+fn live_slot(
+    watches: &mut HashMap<u64, Arc<WatchSlot>>,
     stream: u64,
-    cmd: WatchCmd,
-) -> Option<Json> {
-    let Some(tx) = watches.get(&stream) else {
-        return Some(error_frame(
+) -> Result<Arc<WatchSlot>, Json> {
+    let Some(slot) = watches.get(&stream) else {
+        return Err(error_frame(
             KIND_BAD_REQUEST,
             &format!("no open watch stream {stream} on this connection"),
         ));
     };
-    if tx.send(cmd).is_err() {
-        // The thread already exited (its trace ended, or it died to a
-        // panic / deadline policy): the stream fails alone, and later
-        // commands get a structured answer instead of silence.
+    if slot.ended() {
         watches.remove(&stream);
-        return Some(error_frame(
+        return Err(error_frame(
             KIND_BAD_REQUEST,
             &format!("watch stream {stream} is closed"),
         ));
     }
-    None
+    Ok(Arc::clone(slot))
 }
 
-/// One live watch stream: an online [`StreamSession`] plus the plumbing
-/// to push its events into the connection's outbox (DESIGN.md §17).
-struct WatchStream {
-    shared: Arc<Shared>,
-    repo: Arc<RepoState>,
-    out: Arc<ConnShared>,
-    stream_id: u64,
-    program: sca_isa::Program,
-    victim: Victim,
-    modeling: ModelingConfig,
-    cfg: StreamConfig,
-    /// Per-push deadline budget; a miss ends the push, not the stream.
-    deadline_ms: Option<u64>,
+/// One watch stream's slot, shared by its connection's stream map and
+/// any admitted command. The session is `None` once the stream has
+/// ended. The reactor only reads the slot while its connection is not
+/// paused — that is, while no command of the connection is admitted —
+/// so it never waits on the lock.
+struct WatchSlot {
+    /// The stream id: the `watch` frame's trace id.
+    id: u64,
+    live: Mutex<Option<LiveStream>>,
 }
 
-impl WatchStream {
-    /// Thread body: serve commands until the stream ends, then record
-    /// its one flight-recorder entry. The gauge and the summary are
-    /// written outside the catch so even a panicking stream is
-    /// accounted for and `serve.streams_active` always returns to zero.
-    fn run(self, cmds: mpsc::Receiver<WatchCmd>) {
-        self.shared.streams_active.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let end =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.serve_stream(cmds)))
-                .unwrap_or(StreamEnd {
-                    outcome: Outcome::Panic,
-                    verdict: None,
-                    increments: 0,
-                    alarms: 0,
-                });
-        // One summary per stream, not per increment — and deliberately
-        // never recorded into the `serve.latency_ns` histogram: a
-        // stream's lifetime is set by how long the client keeps
-        // pushing, and folding that into the per-request histogram
-        // would drown the worker latencies it summarizes.
-        self.shared.flight.record(RequestSummary {
-            trace_id: self.stream_id,
-            name: "watch".into(),
-            outcome: end.outcome,
-            verdict: end.verdict,
-            latency_ns: started.elapsed().as_nanos() as u64,
-            stages: vec![
-                ("increments".into(), end.increments),
-                ("alarms".into(), end.alarms),
-            ],
-        });
-        self.shared.streams_active.fetch_sub(1, Ordering::Relaxed);
+impl WatchSlot {
+    fn ended(&self) -> bool {
+        lock(&self.live).is_none()
     }
 
-    /// The per-push deadline, re-armed fresh for each unit of work.
+    /// Run one stream command on a worker. The command returns whether
+    /// the stream lives on; a panic anywhere in it costs exactly this
+    /// stream — the connection, its other streams, and the worker pool
+    /// stay at full strength.
+    fn run(
+        &self,
+        shared: &Shared,
+        reply: &Reply,
+        command: impl FnOnce(&mut LiveStream, &Reply) -> bool,
+    ) {
+        let mut live = lock(&self.live);
+        let Some(stream) = live.as_mut() else {
+            // Unreachable while the pause orders a connection's
+            // commands; answered for safety.
+            reply.send(error_event(
+                self.id,
+                KIND_BAD_REQUEST,
+                &format!("watch stream {} is closed", self.id),
+            ));
+            return;
+        };
+        let alive = match catch_panic(shared, || command(&mut *stream, reply)) {
+            Ok(alive) => alive,
+            Err(what) => {
+                stream.outcome = Outcome::Panic;
+                reply.send(error_event(
+                    self.id,
+                    KIND_INTERNAL_ERROR,
+                    &format!("watch stream panicked: {what}"),
+                ));
+                false
+            }
+        };
+        if !alive {
+            *live = None;
+        }
+    }
+}
+
+/// Lock `m`, recovering from poison: the state behind every lock here
+/// stays valid across a panic (a stream command's panic is caught while
+/// its slot is locked, and the session discarded).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One open watch stream: an online [`StreamSession`] plus what its one
+/// flight-recorder entry needs (DESIGN.md §17). Dropping it — when the
+/// stream ends, or when its connection goes — records that entry and
+/// releases the `serve.streams_active` gauge, so torn and panicked
+/// streams are accounted for too.
+struct LiveStream {
+    shared: Arc<Shared>,
+    session: StreamSession,
+    /// The stream id, named on every event.
+    id: u64,
+    /// The program name, for the `done` event's detection.
+    name: String,
+    /// Per-increment deadline budget; a miss ends the push, not the
+    /// stream.
+    deadline_ms: Option<u64>,
+    started: Instant,
+    outcome: Outcome,
+    /// The `done` event's verdict, when no alarm fired.
+    verdict: Option<String>,
+}
+
+impl LiveStream {
+    /// The deadline for one unit of work, armed fresh each time.
     fn deadline(&self) -> Option<Instant> {
         self.deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms))
     }
 
-    /// Decorate an event with the triggering frame's ids and push it
-    /// into the outbox. A closed outbox means a gone connection and the
-    /// push is a silent no-op; the recv loop sees the disconnect next.
-    fn emit(&self, trace: u64, id: Option<&Json>, frame: Json) {
-        let mut frame = with_trace_id(frame, trace);
-        if let Some(id) = id {
-            frame = with_request_id(frame, id);
-        }
-        self.out.push(frame);
-    }
-
-    fn serve_stream(&self, cmds: mpsc::Receiver<WatchCmd>) -> StreamEnd {
-        // The receiver lives in an Option so every terminal path can
-        // drop it *before* emitting its last event. That ordering is
-        // load-bearing: once a client has read a terminal event, a
-        // subsequent `watch-push` must find a dead sender and get the
-        // inline closed-stream error — if the receiver outlived the
-        // emit, the push could be routed into this exiting thread and
-        // never answered.
-        let mut cmds = Some(cmds);
-        let mut end = StreamEnd {
-            outcome: Outcome::Error,
-            verdict: None,
-            increments: 0,
-            alarms: 0,
-        };
-        let mut session = match StreamSession::begin(
-            &self.repo.detector,
-            &self.program,
-            &self.victim,
-            &self.modeling,
-            &self.cfg,
-        ) {
-            Ok(s) => s,
-            // Unreachable in practice: `start_watch` already ran the
-            // same begin. Answered as a terminal event for safety.
-            Err(e) => {
-                drop(cmds.take());
-                self.emit(
-                    self.stream_id,
-                    None,
-                    error_event(self.stream_id, KIND_MODEL_ERROR, &e.to_string()),
-                );
-                return end;
-            }
-        };
-        loop {
-            let Ok(cmd) = cmds
-                .as_ref()
-                .expect("receiver lives until a terminal path")
-                .recv()
-            else {
-                // The connection went away (handler dropped, or the
-                // stream was finished and forgotten): this stream dies
-                // alone, with whatever it counted so far.
-                return end;
-            };
-            match cmd {
-                WatchCmd::Push {
-                    increments,
-                    trace,
-                    id,
-                } => {
-                    if !self.push(
-                        &mut session,
-                        &mut end,
-                        increments,
-                        trace,
-                        id.as_ref(),
-                        &mut cmds,
-                    ) {
-                        return end;
-                    }
-                }
-                WatchCmd::Finish { trace, id } => {
-                    self.finish(&mut session, &mut end, trace, id.as_ref(), &mut cmds);
-                    return end;
-                }
-            }
-        }
-    }
-
     /// Serve one `watch-push`: commit up to `increments` increments,
-    /// emitting events as they happen. Returns whether the stream is
-    /// still alive afterwards; `end` tracks the running totals either
-    /// way.
-    fn push(
-        &self,
-        session: &mut StreamSession<'_>,
-        end: &mut StreamEnd,
-        increments: u64,
-        trace: u64,
-        id: Option<&Json>,
-        cmds: &mut Option<mpsc::Receiver<WatchCmd>>,
-    ) -> bool {
+    /// sending events as they happen. Stops early at the first increment
+    /// boundary after the peer is gone. Returns whether the stream lives
+    /// on.
+    fn push(&mut self, increments: u64, reply: &Reply) -> bool {
+        let id = self.id;
         let want = increments.max(1);
         for i in 0..want {
-            // Panic isolation, stream edition: a panic mid-increment
-            // costs exactly this stream — the connection, its other
-            // streams, and the worker pool stay at full strength.
-            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.push(None, self.deadline())
-            }));
-            let update = match pushed {
-                Err(payload) => {
-                    self.shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-                    sca_telemetry::counter("serve.panics", 1);
-                    let what = payload
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("<non-string panic payload>");
-                    drop(cmds.take());
-                    self.emit(
-                        trace,
-                        id,
-                        error_event(
-                            self.stream_id,
-                            KIND_INTERNAL_ERROR,
-                            &format!("stream panicked mid-increment: {what}"),
-                        ),
-                    );
-                    end.outcome = Outcome::Panic;
-                    return false;
-                }
-                Ok(Err(DeadlineExceeded)) => {
+            let update = match self.session.push(None, self.deadline()) {
+                Ok(update) => update,
+                Err(DeadlineExceeded) => {
                     // The increment's instructions stay committed; the
                     // stream survives and the client may push again.
                     self.shared
@@ -1833,24 +1766,16 @@ impl WatchStream {
                         .deadline_exceeded
                         .fetch_add(1, Ordering::Relaxed);
                     sca_telemetry::counter("serve.deadline_exceeded", 1);
-                    self.emit(
-                        trace,
+                    reply.send(error_event(
                         id,
-                        error_event(
-                            self.stream_id,
-                            KIND_DEADLINE_EXCEEDED,
-                            "deadline passed mid-scan; the increment stays committed — push again to retry",
-                        ),
-                    );
+                        KIND_DEADLINE_EXCEEDED,
+                        "deadline passed mid-scan; the increment stays committed — push again to retry",
+                    ));
                     return true;
                 }
-                Ok(Ok(update)) => update,
             };
-            end.increments += 1;
             sca_telemetry::counter("serve.stream_increments", 1);
-            if let Some(alarm) = &update.fired {
-                end.alarms += 1;
-                end.verdict = Some(format!("alarm:{}", alarm.family));
+            if update.fired.is_some() {
                 sca_telemetry::counter("serve.stream_alarms", 1);
             }
             // `last` marks the final event of this push so a client can
@@ -1859,59 +1784,43 @@ impl WatchStream {
             // event of the increment that completes the trace, because
             // the `done` frame still follows it.
             let push_ends = update.done || i + 1 == want;
-            self.emit(
-                trace,
+            let mut open = reply.send(progress_event(
                 id,
-                progress_event(
-                    self.stream_id,
-                    &update,
-                    push_ends && update.fired.is_none() && !update.done,
-                ),
-            );
+                &update,
+                push_ends && update.fired.is_none() && !update.done,
+            ));
             if let Some(alarm) = &update.fired {
-                self.emit(
-                    trace,
-                    id,
-                    alarm_event(self.stream_id, alarm, push_ends && !update.done),
-                );
+                open = reply.send(alarm_event(id, alarm, push_ends && !update.done));
             }
             if update.done {
-                self.finish(session, end, trace, id, cmds);
-                return false;
+                return self.finish(reply);
+            }
+            if !open {
+                return true;
             }
         }
         true
     }
 
-    /// Emit the terminal `done` event — increments, steps, the latched
+    /// Send the terminal `done` event — increments, steps, the latched
     /// alarm if any, and the current prefix's full detection (rendered
     /// with the same `detection_json` as classify, so the `detection`
     /// object is byte-identical to classifying the prefix outright).
-    fn finish(
-        &self,
-        session: &mut StreamSession<'_>,
-        end: &mut StreamEnd,
-        trace: u64,
-        id: Option<&Json>,
-        cmds: &mut Option<mpsc::Receiver<WatchCmd>>,
-    ) {
-        let detection = session
+    /// Returns `false`: the stream is over.
+    fn finish(&mut self, reply: &Reply) -> bool {
+        let detection = self
+            .session
             .detection(self.deadline())
             .ok()
-            .map(|d| detection_json(self.program.name(), &d));
-        if end.verdict.is_none() {
-            end.verdict = detection
-                .as_ref()
-                .and_then(|d| d.get("attack"))
-                .and_then(|a| match a {
-                    Json::Bool(true) => Some("attack".to_string()),
-                    Json::Bool(false) => Some("benign".to_string()),
-                    _ => None,
-                });
-        }
+            .map(|d| detection_json(&self.name, &d));
+        self.verdict = detection
+            .as_ref()
+            .and_then(|d| d.get("attack"))
+            .and_then(verdict_of);
+        let session = &self.session;
         let mut fields = vec![
             ("event".into(), Json::Str("done".into())),
-            ("stream".into(), Json::Num(self.stream_id as f64)),
+            ("stream".into(), Json::Num(self.id as f64)),
             ("increments".into(), Json::Num(session.increments() as f64)),
             ("steps".into(), Json::Num(session.steps() as f64)),
             ("done".into(), Json::Bool(session.is_done())),
@@ -1924,13 +1833,34 @@ impl WatchStream {
             fields.push(("detection".into(), d));
         }
         fields.push(("last".into(), Json::Bool(true)));
-        // Close the command channel before the `done` event goes out:
-        // a client that has read `done` and pushes again must find a
-        // dead sender (inline closed-stream error), never a queued
-        // command this exiting thread will silently drop.
-        drop(cmds.take());
-        self.emit(trace, id, ok_frame(fields));
-        end.outcome = Outcome::Ok;
+        reply.send(ok_frame(fields));
+        self.outcome = Outcome::Ok;
+        false
+    }
+}
+
+impl Drop for LiveStream {
+    fn drop(&mut self) {
+        // One summary per stream, not per increment — and deliberately
+        // never recorded into the `serve.latency_ns` histogram: a
+        // stream's lifetime is set by how long the client keeps
+        // pushing, and folding that into the per-request histogram
+        // would drown the worker latencies it summarizes.
+        let alarm = self.session.alarm();
+        self.shared.flight.record(RequestSummary {
+            trace_id: self.id,
+            name: "watch".into(),
+            outcome: self.outcome,
+            verdict: alarm
+                .map(|a| format!("alarm:{}", a.family))
+                .or_else(|| self.verdict.take()),
+            latency_ns: self.started.elapsed().as_nanos() as u64,
+            stages: vec![
+                ("increments".into(), self.session.increments()),
+                ("alarms".into(), u64::from(alarm.is_some())),
+            ],
+        });
+        self.shared.streams_active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1997,147 +1927,79 @@ fn error_event(stream: u64, kind: &str, message: &str) -> Json {
     }
 }
 
-/// Admit a work request onto the queue with the given reply route, or
-/// hand back the error frame explaining why it was refused (shutdown or
-/// shed). Successful admission bumps `in_flight`; the worker drops it
-/// after answering.
-fn admit(
-    request: Request,
-    shared: &Arc<Shared>,
-    trace: u64,
-    wants_timings: bool,
-    reply: Reply,
-) -> Result<(), Json> {
-    shared.counters.received.fetch_add(1, Ordering::Relaxed);
-    sca_telemetry::counter("serve.requests", 1);
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(error_frame(KIND_SHUTTING_DOWN, "server is shutting down"));
-    }
-    let deadline_ms = match &request {
-        Request::Classify { deadline_ms, .. }
-        | Request::ClassifyBatch { deadline_ms, .. }
-        | Request::Model { deadline_ms, .. } => deadline_ms.or(shared.config.deadline_ms),
+/// Queue a job, or answer it at once with why not: the server is
+/// shutting down, or the queue is full and the job is shed. Every kind
+/// of job is shed alike; only work requests feed `received`,
+/// `in_flight`, and a shed entry in the flight ring.
+fn admit(shared: &Arc<Shared>, task: Task, reply: Reply) {
+    let work = match &task {
+        Task::Work(work) => Some(request_kind(&work.request)),
         _ => None,
     };
-    let kind = request_kind(&request);
-    let job = Job {
-        request,
-        repo: shared.repo_snapshot(),
-        deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-        enqueued: Instant::now(),
-        reply,
-        trace_id: trace,
-        wants_timings,
-    };
-    match shared.queue.try_push(job) {
-        Ok(depth) => {
-            sca_telemetry::record("serve.queue_depth", depth as u64);
-            shared.in_flight.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-        Err(_) => {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            sca_telemetry::counter("serve.shed", 1);
-            // Shed requests never reach a worker, so the admission path
-            // is the only place their story can enter the flight ring.
-            shared.flight.record(RequestSummary {
-                trace_id: trace,
-                name: kind.into(),
-                outcome: Outcome::Shed,
-                verdict: None,
-                latency_ns: 0,
-                stages: Vec::new(),
-            });
-            Err(error_frame(
-                KIND_OVERLOADED,
-                &format!(
+    if work.is_some() {
+        shared.counters.received.fetch_add(1, Ordering::Relaxed);
+        sca_telemetry::counter("serve.requests", 1);
+    }
+    let job = Job { task, reply };
+    let (job, kind, message) = if shared.shutdown.load(Ordering::SeqCst) {
+        (
+            job,
+            KIND_SHUTTING_DOWN,
+            "server is shutting down".to_string(),
+        )
+    } else {
+        match shared.queue.try_push(job) {
+            Ok(depth) => {
+                sca_telemetry::record("serve.queue_depth", depth as u64);
+                if work.is_some() {
+                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
+            Err(job) => {
+                shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+                sca_telemetry::counter("serve.shed", 1);
+                if let Some(kind) = work {
+                    // Shed requests never reach a worker, so the
+                    // admission path is the only place their story can
+                    // enter the flight ring.
+                    shared.flight.record(RequestSummary {
+                        trace_id: job.reply.trace,
+                        name: kind.into(),
+                        outcome: Outcome::Shed,
+                        verdict: None,
+                        latency_ns: 0,
+                        stages: Vec::new(),
+                    });
+                }
+                let message = format!(
                     "admission queue full ({} queued); retry later",
                     shared.queue.capacity()
-                ),
-            ))
-        }
-    }
-}
-
-/// Admit an untagged work request with one-in-one-out ordering: pause
-/// the connection first (the reactor stops reading and parsing it),
-/// then admit — the worker pushes the decorated reply and lifts the
-/// pause. Admission failures answer immediately and unpause.
-fn submit_ordered(
-    request: Request,
-    shared: &Arc<Shared>,
-    trace: u64,
-    wants_timings: bool,
-    out: &Arc<ConnShared>,
-) {
-    out.paused.store(true, Ordering::Release);
-    let reply = Reply::Ordered {
-        conn: Arc::clone(out),
-    };
-    if let Err(frame) = admit(request, shared, trace, wants_timings, reply) {
-        out.push_and_unpause(with_trace_id(frame, trace));
-    }
-}
-
-/// Admit a tagged work request without pausing the connection: the
-/// worker's (decorated) reply lands in the outbox whenever it
-/// completes, possibly overtaking other in-flight work. Admission
-/// failures answer immediately, also via the outbox.
-fn submit_pipelined(
-    request: Request,
-    shared: &Arc<Shared>,
-    trace: u64,
-    wants_timings: bool,
-    id: Json,
-    out: &Arc<ConnShared>,
-) {
-    let reply = Reply::Pipelined {
-        conn: Arc::clone(out),
-        id: id.clone(),
-    };
-    if let Err(frame) = admit(request, shared, trace, wants_timings, reply) {
-        out.push(with_request_id(with_trace_id(frame, trace), &id));
-    }
-}
-
-/// Run `reload-repo` on a transient thread with the connection paused:
-/// rebuilding a detector is far too slow for the reactor thread, and
-/// the pause preserves the old inline ordering (no later frame on this
-/// connection is answered before the reload's own reply). A spawn
-/// failure is surfaced as a structured `internal_error`, never
-/// silenced.
-fn submit_reload(
-    shared: &Arc<Shared>,
-    out: &Arc<ConnShared>,
-    trace: u64,
-    id: Option<Json>,
-    path: Option<String>,
-) {
-    out.paused.store(true, Ordering::Release);
-    let shared2 = Arc::clone(shared);
-    let out2 = Arc::clone(out);
-    let id2 = id.clone();
-    let spawned = thread::Builder::new()
-        .name("sca-serve-reload".into())
-        .spawn(move || {
-            let mut frame = with_trace_id(reload_repo(&shared2, path.as_deref()), trace);
-            if let Some(id) = &id2 {
-                frame = with_request_id(frame, id);
+                );
+                (job, KIND_OVERLOADED, message)
             }
-            out2.push_and_unpause(frame);
-        });
-    if spawned.is_err() {
-        shared.counters.spawn_errors.fetch_add(1, Ordering::Relaxed);
-        sca_telemetry::counter("serve.spawn_errors", 1);
-        let mut frame = with_trace_id(
-            error_frame(KIND_INTERNAL_ERROR, "cannot spawn the reload thread"),
-            trace,
-        );
-        if let Some(id) = &id {
-            frame = with_request_id(frame, id);
         }
-        out.push_and_unpause(frame);
-    }
+    };
+    job.reply.send(job.task.refusal(kind, &message));
+}
+
+/// Run `f`, containing a panic to the job (or stream) it serves: the
+/// panic is counted in `panics` and comes back as its message. Without
+/// the catch a panicking worker thread dies silently and the pool
+/// shrinks forever. `Shared` state crossing the boundary is
+/// lock-protected with explicit poison-recovery (queue, repo slot,
+/// builder shards, stream slots) or atomic, so observing it after an
+/// unwind is sound.
+fn catch_panic<T>(shared: &Shared, f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+        sca_telemetry::counter("serve.panics", 1);
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic payload>".to_string())
+    })
 }
 
 /// Wall-clock stage timings for one request, measured directly with
@@ -2206,123 +2068,127 @@ fn compare_split(spans: &[SpanRecord]) -> (u64, u64) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
+    while let Some(Job { task, reply }) = shared.queue.pop() {
         shared.busy_workers.fetch_add(1, Ordering::Relaxed);
-        // Key every span opened while handling this job — serve.request
-        // here, detect.scan and the compare spans inside the detector —
-        // to the request's trace id.
-        let trace = sca_telemetry::trace_scope(job.trace_id);
-        let mut sp = sca_telemetry::span("serve.request");
-        let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
-        sca_telemetry::record("serve.queue_wait_ns", queue_wait_ns);
-        let mut stages = Stages::default();
-        stages.push("queue_wait", queue_wait_ns);
-        // Panic isolation: a panic anywhere in the classify/model work
-        // must cost exactly one request, not a pool slot. Without the
-        // catch, the panicking worker thread dies silently, the pool
-        // shrinks forever, and the request's handler blocks on a reply
-        // channel whose sender was dropped mid-unwind. `Shared` state
-        // crossing the boundary is lock-protected with explicit
-        // poison-recovery (queue, repo slot, builder shards) or atomic,
-        // so observing it after an unwind is sound.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(shared, &job, &mut stages)
-        }));
-        let panicked = caught.is_err();
-        let frame = caught.unwrap_or_else(|payload| {
-            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-            sca_telemetry::counter("serve.panics", 1);
-            let what = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("<non-string panic payload>");
-            error_frame(
-                KIND_INTERNAL_ERROR,
-                &format!("worker panicked serving the request: {what}"),
-            )
-        });
-        if sp.is_recording() {
-            sp.attr("ok", protocol::is_ok(&frame));
-        }
-        let latency_ns = job.enqueued.elapsed().as_nanos() as u64;
-        sca_telemetry::record("serve.latency_ns", latency_ns);
-        // Land the serve.request span, then drain this trace's spans out
-        // of the registry: they feed the timing detail and the slow-log
-        // dump, and draining them is what keeps a resident server's span
-        // log bounded.
-        drop(sp);
-        drop(trace);
-        let spans = if sca_telemetry::enabled() {
-            sca_telemetry::take_trace_spans(job.trace_id)
-        } else {
-            Vec::new()
-        };
-        let outcome = if panicked {
-            Outcome::Panic
-        } else if protocol::is_ok(&frame) {
-            Outcome::Ok
-        } else {
-            match protocol::error_kind(&frame).and_then(ErrorKind::parse) {
-                Some(ErrorKind::DeadlineExceeded) => Outcome::Timeout,
-                _ => Outcome::Error,
+        match task {
+            Task::Work(work) => serve_work(shared, &work, &reply),
+            Task::WatchPush { slot, increments } => {
+                slot.run(shared, &reply, |s, r| s.push(increments, r));
             }
-        };
-        let verdict = frame
-            .get("detection")
-            .and_then(|d| d.get("attack"))
-            .and_then(|a| match a {
-                Json::Bool(true) => Some("attack".to_string()),
-                Json::Bool(false) => Some("benign".to_string()),
-                _ => None,
-            });
-        let summary = RequestSummary {
-            trace_id: job.trace_id,
-            name: job.kind().into(),
-            outcome,
-            verdict,
-            latency_ns,
-            stages: stages.entries.clone(),
-        };
-        let slow = shared
-            .config
-            .slow_ms
-            .is_some_and(|ms| latency_ns >= ms.saturating_mul(1_000_000));
-        if slow {
-            sca_telemetry::counter("serve.slow_requests", 1);
-            shared.write_slow_dump(&summary, &spans);
-        }
-        shared.flight.record(summary);
-        let frame = if job.wants_timings {
-            let detail = (!spans.is_empty()).then(|| compare_split(&spans));
-            match frame {
-                Json::Obj(mut fields) => {
-                    fields.push(("timings".into(), timings_json(latency_ns, &stages, detail)));
-                    Json::Obj(fields)
-                }
-                other => other,
-            }
-        } else {
-            frame
-        };
-        // `in_flight` is documented exact: it must drop *before* the
-        // reply leaves, or a client that pipelines `metrics` right
-        // behind a classify can observe its own answered request as
-        // still in flight. `busy_workers` stays eventually consistent
-        // (decremented after the send) by the same documentation.
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        // A connection that went away closed its outbox; these are
-        // no-ops there.
-        match &job.reply {
-            Reply::Ordered { conn } => {
-                conn.push_and_unpause(with_trace_id(frame, job.trace_id));
-            }
-            Reply::Pipelined { conn, id } => {
-                conn.push(with_request_id(with_trace_id(frame, job.trace_id), id));
+            Task::WatchFinish { slot } => slot.run(shared, &reply, LiveStream::finish),
+            Task::Reload { path } => {
+                let frame = catch_panic(shared, || reload_repo(shared, path.as_deref()))
+                    .unwrap_or_else(|what| {
+                        error_frame(KIND_INTERNAL_ERROR, &format!("reload panicked: {what}"))
+                    });
+                reply.send(frame);
             }
         }
+        // Lifts an ordered job's pause, now that its last frame is out.
+        drop(reply);
         shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// A detection's `attack` flag as a flight-recorder verdict.
+fn verdict_of(attack: &Json) -> Option<String> {
+    match attack {
+        Json::Bool(true) => Some("attack".to_string()),
+        Json::Bool(false) => Some("benign".to_string()),
+        _ => None,
+    }
+}
+
+/// Answer one work request: run it, record its flight entry (and slow
+/// dump), and send the reply.
+fn serve_work(shared: &Arc<Shared>, work: &Work, reply: &Reply) {
+    // Key every span opened while handling this job — serve.request
+    // here, detect.scan and the compare spans inside the detector — to
+    // the request's trace id.
+    let trace = sca_telemetry::trace_scope(reply.trace);
+    let mut sp = sca_telemetry::span("serve.request");
+    let queue_wait_ns = work.enqueued.elapsed().as_nanos() as u64;
+    sca_telemetry::record("serve.queue_wait_ns", queue_wait_ns);
+    let mut stages = Stages::default();
+    stages.push("queue_wait", queue_wait_ns);
+    // Panic isolation: a panic anywhere in the classify/model work
+    // costs exactly one request, not a pool slot.
+    let caught = catch_panic(shared, || execute(shared, work, &mut stages));
+    let panicked = caught.is_err();
+    let frame = caught.unwrap_or_else(|what| {
+        error_frame(
+            KIND_INTERNAL_ERROR,
+            &format!("worker panicked serving the request: {what}"),
+        )
+    });
+    if sp.is_recording() {
+        sp.attr("ok", protocol::is_ok(&frame));
+    }
+    let latency_ns = work.enqueued.elapsed().as_nanos() as u64;
+    sca_telemetry::record("serve.latency_ns", latency_ns);
+    // Land the serve.request span, then drain this trace's spans out of
+    // the registry: they feed the timing detail and the slow-log dump,
+    // and draining them is what keeps a resident server's span log
+    // bounded.
+    drop(sp);
+    drop(trace);
+    let spans = if sca_telemetry::enabled() {
+        sca_telemetry::take_trace_spans(reply.trace)
+    } else {
+        Vec::new()
+    };
+    let outcome = if panicked {
+        Outcome::Panic
+    } else if protocol::is_ok(&frame) {
+        Outcome::Ok
+    } else {
+        match protocol::error_kind(&frame).and_then(ErrorKind::parse) {
+            Some(ErrorKind::DeadlineExceeded) => Outcome::Timeout,
+            _ => Outcome::Error,
+        }
+    };
+    let verdict = frame
+        .get("detection")
+        .and_then(|d| d.get("attack"))
+        .and_then(verdict_of);
+    let summary = RequestSummary {
+        trace_id: reply.trace,
+        name: request_kind(&work.request).into(),
+        outcome,
+        verdict,
+        latency_ns,
+        stages: stages.entries.clone(),
+    };
+    let slow = shared
+        .config
+        .slow_ms
+        .is_some_and(|ms| latency_ns >= ms.saturating_mul(1_000_000));
+    if slow {
+        sca_telemetry::counter("serve.slow_requests", 1);
+        shared.write_slow_dump(&summary, &spans);
+    }
+    shared.flight.record(summary);
+    let frame = if work.wants_timings {
+        let detail = (!spans.is_empty()).then(|| compare_split(&spans));
+        match frame {
+            Json::Obj(mut fields) => {
+                fields.push(("timings".into(), timings_json(latency_ns, &stages, detail)));
+                Json::Obj(fields)
+            }
+            other => other,
+        }
+    } else {
+        frame
+    };
+    // `in_flight` is documented exact: it must drop *before* the reply
+    // leaves, or a client that pipelines `metrics` right behind a
+    // classify can observe its own answered request as still in flight.
+    // `busy_workers` stays eventually consistent (decremented after the
+    // send) by the same documentation.
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+    // A connection that went away closed its outbox; this is a no-op
+    // there.
+    reply.send(frame);
 }
 
 /// Victim parse, assembly, and the builder's (possibly cached) CST-BBS
@@ -2385,7 +2251,7 @@ fn classify_one(
 /// mid-way carries the stages it finished). Counter bookkeeping for the
 /// terminal states (completed / deadline / error) happens here so the
 /// `stats` command reflects worker outcomes, not admission outcomes.
-fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
+fn execute(shared: &Arc<Shared>, job: &Work, stages: &mut Stages) -> Json {
     let fail = |kind: &str, message: &str| {
         let c = if kind == KIND_DEADLINE_EXCEEDED {
             &shared.counters.deadline_exceeded
@@ -2408,8 +2274,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
         Request::Classify { debug_sleep_ms, .. }
         | Request::ClassifyBatch { debug_sleep_ms, .. }
         | Request::Model { debug_sleep_ms, .. } => *debug_sleep_ms,
-        // Control requests are answered inline by the handler and never
-        // reach the queue.
+        // Only work requests become `Task::Work`.
         _ => return fail(KIND_BAD_REQUEST, "not a work request"),
     };
 
@@ -2424,7 +2289,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, stages: &mut Stages) -> Json {
 
     // Fault-injection hook: stand in for any unexpected panic in the
     // pipeline below, at the point where the real work would start.
-    // The catch_unwind in `worker_loop` must turn this into a
+    // The catch_unwind in `serve_work` must turn this into a
     // structured `internal_error` with the pool intact — the chaos
     // harness asserts exactly that.
     if let Request::Classify {

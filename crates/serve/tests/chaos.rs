@@ -462,7 +462,16 @@ fn watch_stream_torn_mid_increment_fails_alone() {
 
     // Raw socket for the victim stream, so the teardown can be abrupt:
     // open a watch, push a large batch of increments, read just enough
-    // to know the stream is mid-work, then sever the connection.
+    // to know the stream is mid-work, then sever the connection. The
+    // torn stream's target runs longer than the increments it is
+    // pushed (eight times the default rounds: ~640 increments of 16
+    // instructions), so only the tear can cut the push short.
+    let long_target = poc::flush_reload_iaik(&PocParams {
+        rounds: PocParams::default().rounds * 8,
+        ..PocParams::default()
+    })
+    .program
+    .disasm();
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -471,7 +480,7 @@ fn watch_stream_torn_mid_increment_fails_alone() {
     let mut writer = stream;
     let open = Request::Watch {
         name: "torn".into(),
-        program: fx.target_src.clone(),
+        program: long_target,
         victim: "shared:3".into(),
         increment: Some(16),
         threshold: None,
@@ -499,10 +508,11 @@ fn watch_stream_torn_mid_increment_fails_alone() {
     // Tear the connection down with hundreds of increments still owed.
     writer.shutdown(Shutdown::Both).expect("tear down");
     drop(reader);
+    drop(writer);
 
     // The dead stream must wind down on its own (the gauge in `stats`
-    // returns to zero) — no handler thread, worker, or shard pool is
-    // left holding it.
+    // returns to zero) — no handler thread or worker is left holding
+    // it.
     let mut probe = Client::connect_with(addr, impatient()).expect("connect probe");
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
@@ -522,6 +532,25 @@ fn watch_stream_torn_mid_increment_fails_alone() {
         );
         thread::sleep(Duration::from_millis(50));
     }
+
+    // The push stopped computing for the dead peer: the torn stream's
+    // one flight entry records far fewer increments than were pushed.
+    let torn: Vec<_> = handle
+        .flight()
+        .into_iter()
+        .filter(|r| r.name == "watch" && r.trace_id == torn_id)
+        .collect();
+    assert_eq!(torn.len(), 1, "one flight entry for the torn stream");
+    let increments = torn[0]
+        .stages
+        .iter()
+        .find(|(n, _)| n == "increments")
+        .map(|(_, v)| *v)
+        .expect("increments stage");
+    assert!(
+        increments < 100,
+        "the torn push ran {increments} of 500 increments for a dead peer"
+    );
 
     // The survivor stream still answers on its own connection.
     let events = survivor

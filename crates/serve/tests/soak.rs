@@ -9,7 +9,9 @@
 //!   byte-identical to the offline `detection_json` pipeline;
 //! - parked connections survive past the io-timeout (they completed a
 //!   frame and owe nothing — only *stalled* peers are killed) and still
-//!   answer when woken.
+//!   answer when woken;
+//! - open watch streams are per-connection state, not threads: dozens of
+//!   live streams across the herd leave the thread count where it was.
 //!
 //! Deliberately a single `#[test]`: the thread-count assertion reads
 //! `/proc/self/status`, and a concurrently running test spawning its
@@ -23,7 +25,7 @@ use std::time::Duration;
 use sca_attacks::poc::{self, PocParams};
 use sca_attacks::{AttackFamily, Sample};
 use sca_serve::protocol::{self, is_ok};
-use sca_serve::{spawn, Client, ServeConfig};
+use sca_serve::{spawn, Client, Request, ServeConfig};
 use sca_telemetry::Json;
 use scaguard::{
     detection_json, load_repository, save_repository, Detector, ModelBuilder, ModelRepository,
@@ -32,10 +34,12 @@ use scaguard::{
 
 /// How many idle connections the soak parks.
 const IDLE_CONNS: usize = 1024;
-/// Thread-count slack over the post-spawn baseline: transient watch /
-/// reload threads and the test harness itself. The point is the order
-/// of magnitude — 1024 connections must not add ~1024 (let alone
-/// ~2048) threads.
+/// How many of the parked connections open a watch stream.
+const WATCH_STREAMS: usize = 64;
+/// Thread-count slack over the post-spawn baseline: the test harness
+/// itself. The server's own threads (reactor + workers) are all in the
+/// baseline. The point is the order of magnitude — 1024 connections
+/// must not add ~1024 (let alone ~2048) threads, nor 64 streams ~64.
 const THREAD_SLACK: u64 = 16;
 
 /// Current thread count of this process, from `/proc/self/status`.
@@ -85,17 +89,23 @@ impl IdleConn {
     }
 
     fn send_ping(&mut self) {
-        self.reader
-            .get_mut()
-            .write_all(b"{\"cmd\":\"ping\"}\n")
-            .expect("write ping");
+        self.send(&Request::Ping.to_json());
+    }
+
+    fn send(&mut self, frame: &Json) {
+        writeln!(self.reader.get_mut(), "{frame}").expect("write frame");
+    }
+
+    fn read(&mut self) -> Json {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read frame");
+        let frame = Json::parse(&line).expect("parse frame");
+        assert!(is_ok(&frame), "request failed: {frame}");
+        frame
     }
 
     fn read_pong(&mut self) {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read pong");
-        let frame = Json::parse(&line).expect("parse pong");
-        assert!(is_ok(&frame), "ping failed: {frame}");
+        let frame = self.read();
         assert_eq!(frame.get("pong"), Some(&Json::Bool(true)));
     }
 }
@@ -153,6 +163,58 @@ fn a_thousand_parked_connections_cost_no_threads_and_survive_the_timeout() {
     let model = builder.build_cst(&program, &victim).expect("model");
     let offline = detection_json("target", &detector.classify_model(&model)).to_string();
     assert_eq!(wire, offline, "wire and offline detections diverge");
+
+    // Open a watch stream on every 16th parked connection and push each
+    // once: the streams stay open, parked between pushes as state.
+    let watchers = IDLE_CONNS / WATCH_STREAMS;
+    for conn in herd.iter_mut().step_by(watchers) {
+        conn.send(
+            &Request::Watch {
+                name: "soak-watch".into(),
+                program: target_src.clone(),
+                victim: "shared:3".into(),
+                increment: None,
+                threshold: None,
+                sustain: None,
+                deadline_ms: None,
+            }
+            .to_json(),
+        );
+    }
+    let streams: Vec<u64> = herd
+        .iter_mut()
+        .step_by(watchers)
+        .map(|conn| {
+            conn.read()
+                .get("stream")
+                .and_then(Json::as_u64)
+                .expect("stream id")
+        })
+        .collect();
+    for (conn, &stream) in herd.iter_mut().step_by(watchers).zip(&streams) {
+        conn.send(
+            &Request::WatchPush {
+                stream,
+                increments: 1,
+            }
+            .to_json(),
+        );
+    }
+    for conn in herd.iter_mut().step_by(watchers) {
+        while conn.read().get("last") != Some(&Json::Bool(true)) {}
+    }
+    let stats = client.stats().expect("stats");
+    let active = stats
+        .get("stats")
+        .and_then(|s| s.get("streams_active"))
+        .and_then(Json::as_u64);
+    assert_eq!(active, Some(WATCH_STREAMS as u64), "streams must stay open");
+    let with_streams = process_threads();
+    assert!(
+        with_streams <= baseline + THREAD_SLACK,
+        "{WATCH_STREAMS} open watch streams grew the thread count {baseline} -> {with_streams}; \
+         streams must not cost threads"
+    );
 
     // Park well past the io-timeout, then wake a sample of the herd:
     // every sampled connection must still be alive and answering, and

@@ -330,3 +330,190 @@ fn finish_reports_the_current_prefix_and_closes_the_stream() {
     handle.shutdown();
     handle.join();
 }
+
+/// An event with its per-frame, per-stream and envelope ids removed, so
+/// events of two streams over the same program compare byte for byte.
+fn without_ids(event: &Json) -> String {
+    match event {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| !matches!(k.as_str(), "trace_id" | "stream" | "id"))
+                .cloned()
+                .collect(),
+        )
+        .to_string(),
+        other => other.to_string(),
+    }
+}
+
+#[test]
+fn a_shed_push_leaves_its_stream_open_and_unchanged() {
+    let mut cfg = ServeConfig::new(repo_path());
+    cfg.workers = 1;
+    cfg.queue_depth = 1;
+    let handle = spawn(cfg).expect("spawn server");
+    let addr = handle.addr();
+    let fr = poc::representative(AttackFamily::FlushReload, &PocParams::default());
+    let mut client = Client::connect_with(addr, patient()).expect("connect");
+    let open = |client: &mut Client, name: &str| {
+        let ack = client
+            .watch_open(
+                name,
+                &fr.program.disasm(),
+                "shared:3",
+                &WatchOptions::default(),
+            )
+            .expect("open");
+        stream_id(&ack)
+    };
+    let shed = open(&mut client, "shed");
+    let reference = open(&mut client, "reference");
+
+    // Occupy the one worker, then the one queue slot (staggered so the
+    // two blockers do not race each other for admission).
+    let blockers: Vec<_> = (0..2)
+        .map(|i| {
+            let program = fr.program.disasm();
+            let t = std::thread::spawn(move || {
+                let mut c = Client::connect_with(addr, patient()).expect("connect");
+                c.send(&sca_serve::Request::Classify {
+                    name: format!("blocker-{i}"),
+                    program,
+                    victim: "shared:3".into(),
+                    threshold: None,
+                    deadline_ms: None,
+                    debug_sleep_ms: 600,
+                    debug_panic: false,
+                })
+                .expect("blocker reply")
+            });
+            std::thread::sleep(Duration::from_millis(150));
+            t
+        })
+        .collect();
+
+    // The queue is full: the push is shed like any other job, with an
+    // error event that names its stream and ends the push.
+    let events = client.watch_push(shed, 1).expect("shed push answered");
+    assert_eq!(events.len(), 1, "got {events:?}");
+    let refusal = &events[0];
+    assert_eq!(
+        error_kind(refusal),
+        Some(sca_serve::protocol::KIND_OVERLOADED),
+        "got {refusal}"
+    );
+    assert_eq!(refusal.get("stream").and_then(Json::as_u64), Some(shed));
+    assert_eq!(refusal.get("last"), Some(&Json::Bool(true)));
+    assert!(handle.stats().shed >= 1, "the shed push was not counted");
+
+    for b in blockers {
+        assert!(is_ok(&b.join().expect("join blocker")));
+    }
+
+    // The stream stayed open and the shed push committed nothing: its
+    // next push answers exactly what a never-shed stream's first does.
+    let after = client.watch_push(shed, 2).expect("push after shed");
+    let fresh = client.watch_push(reference, 2).expect("reference push");
+    assert!(after.iter().all(is_ok), "push after shed failed: {after:?}");
+    assert_eq!(
+        after.iter().map(without_ids).collect::<Vec<_>>(),
+        fresh.iter().map(without_ids).collect::<Vec<_>>(),
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_tagged_push_is_ordered_and_echoes_its_id() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = spawn(ServeConfig::new(repo_path())).expect("spawn server");
+    let fr = poc::representative(AttackFamily::FlushReload, &PocParams::default());
+    let mut client = Client::connect_with(handle.addr(), patient()).expect("connect");
+    let ack = client
+        .watch_open(
+            "ordered",
+            &fr.program.disasm(),
+            "shared:3",
+            &WatchOptions::default(),
+        )
+        .expect("open");
+    let stream = stream_id(&ack);
+
+    let socket = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(socket.try_clone().expect("clone"));
+    let mut writer = socket;
+    // Streams are routable only on the connection that opened them, so
+    // this connection opens its own.
+    let open = sca_serve::Request::Watch {
+        name: "ordered".into(),
+        program: fr.program.disasm(),
+        victim: "shared:3".into(),
+        increment: None,
+        threshold: None,
+        sustain: None,
+        deadline_ms: None,
+    };
+    writeln!(writer, "{}", open.to_json()).expect("write watch");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read ack");
+    let raw_stream = stream_id(&Json::parse(line.trim_end()).expect("ack is JSON"));
+    let push = sca_serve::with_request_id(
+        sca_serve::Request::WatchPush {
+            stream: raw_stream,
+            increments: 3,
+        }
+        .to_json(),
+        &Json::Num(7.0),
+    );
+    let ping = sca_serve::with_request_id(sca_serve::Request::Ping.to_json(), &Json::Num(8.0));
+    // A tagged push and a tagged ping right behind it, in one write.
+    write!(writer, "{push}\n{ping}\n").expect("write push + ping");
+    writer.flush().expect("flush");
+
+    let mut events = Vec::new();
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("read event");
+        let frame = Json::parse(line.trim_end()).expect("frame is JSON");
+        assert_eq!(
+            frame.get("id"),
+            Some(&Json::Num(7.0)),
+            "the ping overtook the push, or an event lost its id: {frame}"
+        );
+        let last = frame.get("last") == Some(&Json::Bool(true));
+        events.push(frame);
+        if last {
+            break;
+        }
+    }
+    assert!(events.iter().all(is_ok), "push failed: {events:?}");
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| event_name(e) == "progress")
+            .count(),
+        3,
+        "one progress event per increment: {events:?}"
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("read pong");
+    let pong = Json::parse(line.trim_end()).expect("pong is JSON");
+    assert_eq!(pong.get("id"), Some(&Json::Num(8.0)), "got {pong}");
+    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+
+    // An untagged push of the same stream agrees event for event.
+    let untagged = client.watch_push(stream, 3).expect("client push");
+    assert_eq!(
+        untagged.iter().map(without_ids).collect::<Vec<_>>(),
+        events.iter().map(without_ids).collect::<Vec<_>>(),
+    );
+
+    handle.shutdown();
+    handle.join();
+}
